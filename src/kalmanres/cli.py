@@ -144,6 +144,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_kalman_test(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     k = args.d - args.s + 1
     sound = 0
     for t in range(args.trials):
@@ -226,8 +228,9 @@ def _tables_equal(engine, golden, label, cases, lines):
 
 def _verify_prop_2_2(args, cases, lines) -> bool:
     pairs = [(2, 5), (3, 6), (4, 8), (5, 9)]
-    if args.d or args.n:
-        pairs = [(args.d or 2, args.n or (args.d or 2) + 3)]
+    if args.d is not None or args.n is not None:
+        d = 2 if args.d is None else args.d
+        pairs = [(d, d + 3 if args.n is None else args.n)]
     ok = True
     for d, n in pairs:
         engine = resolution_terms(GrassmannianContext(1, d, n))
@@ -240,7 +243,7 @@ def _verify_prop_2_2(args, cases, lines) -> bool:
 
 
 def _verify_prop_2_4(args, cases, lines) -> bool:
-    ns = [args.n] if args.n else [5, 6, 7, 8]
+    ns = [5, 6, 7, 8] if args.n is None else [args.n]
     ok = True
     for n in ns:
         engine = resolution_terms(GrassmannianContext(2, 3, n))
@@ -280,7 +283,7 @@ def _verify_m2_output(args, cases, lines) -> bool:
 
 
 def _verify_thm_3_3(args, cases, lines) -> bool:
-    ns = [args.n] if args.n else [4, 5, 6, 7, 8]
+    ns = [4, 5, 6, 7, 8] if args.n is None else [args.n]
     ok = True
     for n in ns:
         cone = cone_table_d2(n)
@@ -293,7 +296,7 @@ def _verify_thm_3_3(args, cases, lines) -> bool:
 
 
 def _verify_thm_3_5(args, cases, lines) -> bool:
-    ns = [args.n] if args.n else [6, 7, 8, 9]
+    ns = [6, 7, 8, 9] if args.n is None else [args.n]
     ok = True
     for n in ns:
         table = kalman_cone_d3(n)
@@ -323,10 +326,10 @@ def _verify_thm_3_5(args, cases, lines) -> bool:
 
 
 def _verify_prop_sdm1(args, cases, lines) -> bool:
-    ds = [args.d] if args.d else [3, 4, 5, 6]
+    ds = [3, 4, 5, 6] if args.d is None else [args.d]
     ok = True
     for d in ds:
-        n = args.n or d + 3
+        n = d + 3 if args.n is None else args.n
         engine = resolution_terms(GrassmannianContext(d - 1, d, n)).restrict_index(2)
         ok = _tables_equal(
             engine, table_corank1(d, n), f"s=d-1 table ({d},{n})", cases, lines
@@ -335,7 +338,7 @@ def _verify_prop_sdm1(args, cases, lines) -> bool:
 
 
 def _verify_prop_ndp1(args, cases, lines) -> bool:
-    ds = [args.d] if args.d else [1, 2, 3, 4, 5]
+    ds = [1, 2, 3, 4, 5] if args.d is None else [args.d]
     ok = True
     for d in ds:
         for s in range(1, d + 1):
@@ -348,7 +351,7 @@ def _verify_prop_ndp1(args, cases, lines) -> bool:
 
 def _verify_inductive(d):
     def run(args, cases, lines) -> bool:
-        ns = [args.n] if args.n else [4, 5, 6, 7]
+        ns = [4, 5, 6, 7] if args.n is None else [args.n]
         ok = True
         for n in ns:
             report = conjecture_consistency(d, n)
@@ -377,6 +380,8 @@ _VERIFIERS = {
 def _cmd_verify(args) -> int:
     cases, lines = [], []
     ok = _VERIFIERS[args.id](args, cases, lines)
+    if not cases:
+        raise ValueError(f"verify {args.id} runs no case with --d {args.d} --n {args.n}")
     payload = {"id": args.id, "status": "ok" if ok else "mismatch", "cases": cases}
     _emit(payload, args.json, lines + [f"verify {args.id}: {'OK' if ok else 'MISMATCH'}"])
     return OK if ok else MISMATCH

@@ -203,10 +203,6 @@ class BettiTable:
             return NotImplemented
         return self._data == other._data
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def diff(self, other: "BettiTable") -> str:
         """Human-readable multiset difference, for test failure messages."""
         lines = []
@@ -272,41 +268,18 @@ def resolution_terms(ctx: GrassmannianContext) -> BettiTable:
     """Betti table of the normalization attached to ctx.
 
     Sweeps q = 0 .. rank(xi); a cohomology class of wedge^q(xi) in degree j
-    contributes at homological index q - j, internal degree q.  Indices are
-    asserted nonnegative.  For s = d the bundle has no Q*-block and the
+    contributes at homological index q - j, internal degree q.  A negative
+    index raises RuntimeError.  For s = d the bundle has no Q*-block and the
     result is the Koszul complex on L (x) W.
     """
     table = BettiTable(ctx)
     for q in range(ctx.xi_rank + 1):
         for j, counter in cohomology_table(ctx, q).items():
             i = q - j
-            assert i >= 0, (ctx, q, j)
+            if i < 0:
+                raise RuntimeError(f"negative homological index {i} at q={q}, j={j} for {ctx}")
             for (lam, mu), mult in counter.items():
                 table.add(i, q, lam, mu, mult)
-    return table
-
-
-def subcomplex_terms(
-    ctx: GrassmannianContext,
-    r: Optional[int] = None,
-    s_cap: Optional[int] = None,
-) -> BettiTable:
-    """Betti table of the subcomplex generated by summands with exterior
-    degree at most r on the R(x)Q* block and at most s_cap on the R(x)W
-    block.  None means unbounded; both None reproduces resolution_terms."""
-    table = BettiTable(ctx)
-    for q in range(ctx.xi_rank + 1):
-        for summand in xi_exterior_decomposition(ctx, q):
-            if r is not None and summand.mu_qstar.size() > r:
-                continue
-            if s_cap is not None and summand.nu_w.size() > s_cap:
-                continue
-            res = cohomology_of_summand(summand.lambda_r, summand.mu_qstar, ctx)
-            if res.is_zero:
-                continue
-            i = q - res.degree
-            assert i >= 0
-            table.add(i, q, Partition(res.weight), summand.nu_w, summand.mult)
     return table
 
 
@@ -417,7 +390,8 @@ def weyl_euler_characteristic(weight: Weight, d: int) -> int:
             num *= u[i] - u[j]
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise RuntimeError(f"Weyl product {num}/{den} is not an integer for {weight}")
     return q
 
 

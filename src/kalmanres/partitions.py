@@ -106,7 +106,8 @@ def schur_rank(lam: Partition, n: int) -> int:
             num *= n + j - i
             den *= (row - j) + (conj[j] - i) - 1
     q, r = divmod(num, den)
-    assert r == 0, (lam, n)
+    if r:
+        raise RuntimeError(f"hook-content product {num}/{den} is not an integer for {lam}, n={n}")
     return q
 
 

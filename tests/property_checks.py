@@ -7,6 +7,7 @@ tautology.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 
 # -- semistandard tableaux ----------------------------------------------------
@@ -206,3 +207,105 @@ def weyl_dimension(weight):
             out *= Fraction(weight[i] - weight[j] + j - i, j - i)
     assert out.denominator == 1
     return int(out)
+
+
+# -- Jacobian of the minors over F_p ------------------------------------------
+
+
+def laplace_det(a, p):
+    """Determinant over F_p by cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0] % p
+    total = 0
+    for j, x in enumerate(a[0]):
+        if x:
+            minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+            total += (-1) ** j * x * laplace_det(minor, p)
+    return total % p
+
+
+def laplace_adjugate(a, p):
+    """adj(a)[i][j] = (-1)^(i+j) det(a without row j and column i) over F_p,
+    so that a adj(a) = det(a) I."""
+    size = len(a)
+    if size == 1:
+        return [[1]]
+    return [
+        [
+            (-1) ** (i + j)
+            * laplace_det([r[:i] + r[i + 1 :] for t, r in enumerate(a) if t != j], p)
+            % p
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p by Gaussian elimination on lists of Python ints."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        top = rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _matmul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def minors_jacobian_rank(phi, d, k, p):
+    """Rank over F_p of the Jacobian of every k-minor of the stacked matrix
+    (gamma; gamma alpha; ...; gamma alpha^{d-1}) of phi (a list of rows), in
+    the n^2 entries x of phi.  Entry (minor, x) of the Jacobian is
+    trace(adj(sub) d(sub)/dx); the derivative of the stack follows the product
+    rule d(G alpha) = dG alpha + G d(alpha)."""
+    n = len(phi)
+    alpha = [row[:d] for row in phi[:d]]
+
+    def stack_and_derivative(dphi):
+        g, dg = [row[:d] for row in phi[d:]], [row[:d] for row in dphi[d:]]
+        dalpha = [row[:d] for row in dphi[:d]]
+        blocks, dblocks = [], []
+        for _ in range(d):
+            blocks += g
+            dblocks += dg
+            g, dg = _matmul(g, alpha, p), [
+                [(x + y) % p for x, y in zip(r1, r2)]
+                for r1, r2 in zip(_matmul(dg, alpha, p), _matmul(g, dalpha, p))
+            ]
+        return blocks, dblocks
+
+    units = [
+        [[int((i, j) == (r, c)) for j in range(n)] for i in range(n)]
+        for r in range(n)
+        for c in range(n)
+    ]
+    stack = stack_and_derivative(units[0])[0]
+    derivatives = [stack_and_derivative(unit)[1] for unit in units]
+    jac = []
+    for rows in combinations(range(len(stack)), k):
+        for cols in combinations(range(d), k):
+            adj = laplace_adjugate([[stack[i][j] for j in cols] for i in rows], p)
+            jac.append(
+                [
+                    sum(
+                        adj[a][b] * ds[rows[b]][cols[a]]
+                        for a in range(k)
+                        for b in range(k)
+                    )
+                    % p
+                    for ds in derivatives
+                ]
+            )
+    return rank_mod_p(jac, p)

@@ -33,6 +33,32 @@ class TestExitCodes:
         assert main(["betti", "--s", "3", "--d", "2", "--n", "5"]) == USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_kalman_test_needs_a_trial(self, capsys, trials):
+        argv = ["kalman-test", "--s", "1", "--d", "2", "--n", "4", "--trials", trials]
+        assert main(argv) == USAGE
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "prop-2-2", "--d", "0"],
+            ["verify", "prop-2-2", "--n", "0"],
+            ["verify", "prop-2-4", "--n", "0"],
+            ["verify", "thm-3-3", "--n", "0"],
+            ["verify", "thm-3-5", "--n", "-1"],
+            ["verify", "prop-sdm1", "--d", "0"],
+            ["verify", "prop-ndp1", "--d", "0"],
+            ["verify", "prop-ndp1", "--d", "-2"],
+            ["verify", "inductive-d2", "--n", "0"],
+            ["verify", "inductive-d3", "--n", "0"],
+        ],
+    )
+    def test_verify_out_of_range_is_usage(self, capsys, argv):
+        assert main(argv) == USAGE
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "OK" not in captured.out
+
     def test_budget_refusal(self, capsys):
         code = main(["hf", "--s", "1", "--d", "3", "--n", "5", "--kmax", "5"])
         assert code == REFUSED

@@ -11,7 +11,6 @@ from kalmanres.geometric import (
     hilbert_series,
     hilbert_series_normalization,
     resolution_terms,
-    subcomplex_terms,
     weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
@@ -237,16 +236,9 @@ class TestResolutionEngine:
                 hilbert_series_normalization(ctx)
             ), ctx
 
-    def test_subcomplex_without_caps_is_everything(self):
-        for ctx in small_contexts(max_d=3, max_n=6):
-            assert subcomplex_terms(ctx) == resolution_terms(ctx)
-
-    def test_subcomplex_caps_filter(self):
+    def test_xi_summands_without_qstar_are_wedges_of_r_w(self):
+        # the summands with no Q* factor are the wedge powers of R(x)W
         ctx = GrassmannianContext(2, 3, 6)
-        full = resolution_terms(ctx)
-        no_qstar = subcomplex_terms(ctx, r=0)
-        assert no_qstar != full
-        # with the Q* block capped away, summands are wedge powers of R(x)W
         for q in range(ctx.xi_rank + 1):
             got = sum(
                 s.rank(ctx)

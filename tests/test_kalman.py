@@ -7,11 +7,11 @@ from kalmanres.kalman import (
     FpMatrix,
     KalmanPoint,
     SplitMix64,
-    _adjugate_mod,
     _det_mod,
+    _echelon,
     _inverse_mod,
+    _left_kernel,
     _matmul_mod,
-    _rank_mod_p,
     jacobian_codim,
     minors_vanish,
     numeric_hilbert_function,
@@ -19,6 +19,11 @@ from kalmanres.kalman import (
     sample_generic,
     sample_member,
 )
+from property_checks import laplace_adjugate, minors_jacobian_rank
+
+
+def rank(m, p):
+    return len(_echelon(m, p)[1])
 
 
 class TestRng:
@@ -51,15 +56,33 @@ class TestModularLinearAlgebra:
         a = rng.matrix(6, 2, p)
         b = rng.matrix(2, 6, p)
         prod = _matmul_mod(a, b, p)
-        assert _rank_mod_p(prod, p) == 2
-        assert _rank_mod_p(np.zeros((4, 4), dtype=np.int64), p) == 0
-        assert _rank_mod_p(np.eye(5, dtype=np.int64), p) == 5
+        assert rank(prod, p) == 2
+        assert rank(np.zeros((4, 4), dtype=np.int64), p) == 0
+        assert rank(np.eye(5, dtype=np.int64), p) == 5
 
     def test_rank_handles_values_near_p(self):
         p = P_DEFAULT
         m = np.array([[p - 1, 1], [1, p - 1]], dtype=np.int64)
         # rows are scalar multiples mod p: (p-1, 1) = -(1, p-1)
-        assert _rank_mod_p(m, p) == 1
+        assert rank(m, p) == 1
+
+    def test_echelon_pivots_and_shape(self):
+        p = 97
+        m = np.array([[0, 2, 4], [0, 1, 2], [1, 0, 1]], dtype=np.int64)
+        e, pivots = _echelon(m, p)
+        assert pivots == [0, 1]
+        assert e.tolist() == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
+
+    def test_left_kernel(self):
+        p = P_DEFAULT
+        rng = SplitMix64(5)
+        for rows, cols, r in [(6, 3, 2), (5, 5, 5), (4, 6, 1), (3, 2, 0)]:
+            m = _matmul_mod(rng.matrix(rows, r, p), rng.matrix(r, cols, p), p)
+            u, got = _left_kernel(m, p)
+            assert got == rank(m, p) == r
+            assert u.shape == (rows - r, rows)
+            assert not _matmul_mod(u, m, p).any()
+            assert rank(u, p) == rows - r
 
     def test_inverse_and_adjugate(self):
         p = P_DEFAULT
@@ -67,7 +90,7 @@ class TestModularLinearAlgebra:
         inv = _inverse_mod(a, p)
         assert _matmul_mod(a, inv, p).tolist() == np.eye(4, dtype=np.int64).tolist()
         det = _det_mod(a, p)
-        adj = _adjugate_mod(a, p)
+        adj = np.array(laplace_adjugate(a.tolist(), p), dtype=np.int64)
         prod = _matmul_mod(a, adj, p)
         assert prod.tolist() == (det * np.eye(4, dtype=object) % p).tolist()
 
@@ -164,10 +187,11 @@ class TestSampling:
     def test_member_frozen_fingerprint(self):
         # determinism across releases, not just within a process
         pt = sample_member(1, 2, 4, seed=0)
-        total = int(pt.phi.astype(object).sum() % P_DEFAULT)
-        assert total == int(sample_member(1, 2, 4, seed=0).phi.astype(object).sum() % P_DEFAULT)
+        assert int(pt.phi.astype(object).sum() % P_DEFAULT) == 784963671
         assert pt.phi.shape == (4, 4)
         assert pt.p == P_DEFAULT
+        pt = sample_member(2, 4, 7, seed=0)
+        assert int(pt.phi.astype(object).sum() % P_DEFAULT) == 633221933
 
     def test_s_equals_d_member_kills_gamma_blocks(self):
         # s = d means L itself is invariant; the whole stacked matrix vanishes
@@ -192,6 +216,18 @@ class TestJacobian:
 
     def test_determinism(self):
         assert jacobian_codim(1, 2, 4, seed=77) == jacobian_codim(1, 2, 4, seed=77)
+
+    @pytest.mark.parametrize("p", [P_DEFAULT, 3])
+    def test_matches_minors_oracle(self, p):
+        # kernel formula against the Jacobian of every minor, by adjugates;
+        # over F_3 about a quarter of the samples have rank M < k-1
+        for n in range(3, 7):
+            for d in range(2, n):
+                for s in range(1, d):
+                    for seed in range(3):
+                        phi = sample_member(s, d, n, seed, p).phi.tolist()
+                        expected = minors_jacobian_rank(phi, d, d - s + 1, p)
+                        assert jacobian_codim(s, d, n, seed, p) == expected, (s, d, n, seed)
 
     def test_validation(self):
         with pytest.raises(ValueError):
