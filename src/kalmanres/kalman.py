@@ -7,6 +7,13 @@ variety, sample points on and off it, measure the Jacobian rank of the
 minors, and estimate the minor ideal's Hilbert function by evaluation.
 
 All elimination over F_p (rank, inverse, kernels) goes through _echelon.
+It is blocked: columns are eliminated in panels of BLOCK = 64 by the plain
+pivot-by-pivot loop, and the row operations of a panel reach the columns to
+its right as one modular matrix product (a trailing update).  Products mod p
+run on float64 BLAS: the left operand is split into 16-bit limbs, so a GEMM
+over at most 64 terms sums integers below 2^47 each and every partial sum
+stays below 2^53, where float64 is exact.  This needs p < 2^31, which every
+entry point checks.
 The Jacobian of the k-minors is never formed: at a member the stack M has
 rank <= k-1; if rank M = k-1 its rank is that of the rows u_a (dM/dphi) v_b
 over kernel bases u_a M = 0 = M v_b, and if rank M < k-1 it is 0.
@@ -18,14 +25,30 @@ result is reproducible bit-for-bit from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
-P_DEFAULT = (1 << 31) - 1  # Mersenne prime; products of two residues fit in int64
+P_DEFAULT = (1 << 31) - 1  # Mersenne prime; every modulus must be a prime below 2^31
+
+# 64 * (2^16 - 1) * (2^31 - 1) < 2^53: a float64 GEMM of 16-bit limbs against
+# residues below 2^31 is exact over at most BLOCK terms
+BLOCK = 64
+CHUNK = 256  # rows per trailing update, which bounds its float64 temporaries
 
 _MASK64 = (1 << 64) - 1
+
+
+@lru_cache(maxsize=None)
+def _check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime with 2 <= p < 2^31: int64
+    products of two residues and the float64 limb products of _matmul_mod
+    are exact only below 2^31, and pow(x, p - 2, p) inverts x only for
+    prime p."""
+    if not 2 <= p < 1 << 31 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"modulus must be a prime p with 2 <= p < 2^31, got {p}")
 
 
 class SplitMix64:
@@ -63,29 +86,62 @@ def _echelon(mat: np.ndarray, p: int):
 
     Forward elimination with unit pivots; returns (e, pivots) where row i of
     e has a 1 in column pivots[i] and zeros below it, and the rows after
-    len(pivots) are zero.  The rank is len(pivots).  Row updates keep every
-    intermediate value inside int64: factors and entries are reduced below
-    p < 2^31 first."""
+    len(pivots) are zero.  The rank is len(pivots).
+
+    The columns are taken in panels of BLOCK.  Within a panel the pivot is
+    the first nonzero row, it is scaled to 1 and the rows below it are
+    eliminated, on a copy of the panel's columns only; each multiplier and
+    pivot inverse is recorded and each row swap applied to the whole row.
+    With kp pivots found, the same operations reach the trailing columns as
+    products: the kp pivot rows X become M X, M being the panel's operations
+    on the kp x kp identity, and the rows below become A22 - L21 (M X) with
+    L21 their multipliers, CHUNK rows at a time.  These are exactly the row
+    operations of the unblocked loop, applied later, so (e, pivots) does not
+    depend on BLOCK.  Entries stay below p < 2^31, so the panel's int64 row
+    updates do not overflow and the products are exact (_matmul_mod)."""
     e = np.array(mat, dtype=np.int64) % p
     rows, cols = e.shape
     pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
+    for c0 in range(0, cols, BLOCK):
+        r0 = len(pivots)
+        if r0 == rows:
             break
-        nonzero = np.nonzero(e[r:, c])[0]
-        if nonzero.size == 0:
+        c1 = min(c0 + BLOCK, cols)
+        panel = e[r0:, c0:c1].copy()
+        mult = np.zeros((rows - r0, BLOCK), dtype=np.int64)
+        invs = []
+        for c in range(c1 - c0):
+            r = len(invs)
+            if r0 + r == rows:
+                break
+            nonzero = np.flatnonzero(panel[r:, c])
+            if nonzero.size == 0:
+                continue
+            i = r + int(nonzero[0])
+            if i != r:
+                panel[[r, i]] = panel[[i, r]]
+                mult[[r, i]] = mult[[i, r]]
+                e[[r0 + r, r0 + i]] = e[[r0 + i, r0 + r]]
+            inv = pow(int(panel[r, c]), p - 2, p)
+            panel[r, c:] = panel[r, c:] * inv % p
+            mult[r + 1 :, r] = panel[r + 1 :, c]
+            panel[r + 1 :, c:] = (panel[r + 1 :, c:] - mult[r + 1 :, r, None] * panel[r, c:]) % p
+            invs.append(inv)
+            pivots.append(c0 + c)
+        e[r0:, c0:c1] = panel
+        kp = len(invs)
+        if kp == 0 or c1 == cols:
             continue
-        i = r + int(nonzero[0])
-        if i != r:
-            e[[r, i]] = e[[i, r]]
-        inv = pow(int(e[r, c]), p - 2, p)
-        e[r, c:] = (e[r, c:] * inv) % p
-        below = np.nonzero(e[r + 1 :, c])[0]
-        if below.size:
-            f = e[r + 1 + below, c][:, None]
-            e[r + 1 + below, c:] = (e[r + 1 + below, c:] - f * e[r, c:]) % p
-        pivots.append(c)
+        m = np.eye(kp, dtype=np.int64)
+        for j, inv in enumerate(invs):
+            m[j] = m[j] * inv % p
+            m[j + 1 :] = (m[j + 1 :] - mult[j + 1 : kp, j, None] * m[j]) % p
+        top = _matmul_mod(m, e[r0 : r0 + kp, c1:], p)
+        e[r0 : r0 + kp, c1:] = top
+        for i in range(r0 + kp, rows, CHUNK):
+            block = e[i : i + CHUNK, c1:]
+            block -= _matmul_mod(mult[i - r0 : i - r0 + CHUNK, :kp], top, p)
+            block += p * (block < 0)  # a difference of residues: one add of p reduces it
     return e, pivots
 
 
@@ -101,9 +157,27 @@ def _left_kernel(m: np.ndarray, p: int):
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 dot products could overflow, so go through exact Python ints
-    prod = (a.astype(object) @ b.astype(object)) % p
-    return prod.astype(np.int64)
+    """a @ b over F_p (numpy matmul broadcasting), exact for p < 2^31.
+
+    a is split into 16-bit limbs, a = 2^16 hi + lo with hi < 2^15 and
+    lo < 2^16, and the inner dimension is taken BLOCK terms at a time: each
+    float64 GEMM then sums at most 64 products below 2^47, so every partial
+    sum is an integer below 2^53 and exact.  The sums go back to int64 for
+    the reduction (np.fmod is many times slower than int64 %): the chunk
+    is 2^16 (hi-sum mod p) + lo-sum < 2^54, and it is added to the running
+    result mod p."""
+    a = np.asarray(a, dtype=np.int64) % p
+    b = (np.asarray(b, dtype=np.int64) % p).astype(np.float64)
+    hi = (a >> 16).astype(np.float64)
+    lo = (a & 0xFFFF).astype(np.float64)
+    out = 0
+    # an empty inner dimension still takes one (empty) chunk, for the shape
+    for k in range(0, a.shape[-1] or 1, BLOCK):
+        bk = b[..., k : k + BLOCK, :]
+        hk = (hi[..., k : k + BLOCK] @ bk).astype(np.int64) % p
+        lk = (lo[..., k : k + BLOCK] @ bk).astype(np.int64)
+        out = (out + (hk << 16) + lk) % p
+    return out
 
 
 def _inverse_mod(a: np.ndarray, p: int):
@@ -117,24 +191,23 @@ def _inverse_mod(a: np.ndarray, p: int):
     return e[:, size:]
 
 
-def _det_mod(a: np.ndarray, p: int) -> int:
-    """Determinant of a small square matrix over F_p by Laplace expansion;
-    on the 2x2 and 3x3 minors of numeric_hilbert_function it is 3-30 times
-    faster than _echelon."""
-    size = a.shape[0]
+def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants over F_p of a stack of small square matrices, shape
+    (..., k, k), by Laplace expansion along the first row, vectorised over
+    the leading axes: one call gives every minor of numeric_hilbert_function
+    at every sampled point.  Entries are reduced below p < 2^31, so each
+    product of two residues fits in int64, and every term is reduced before
+    it is added."""
+    a = np.asarray(a, dtype=np.int64) % p
+    size = a.shape[-1]
     if size == 1:
-        return int(a[0, 0]) % p
-    if size == 2:
-        return (int(a[0, 0]) * int(a[1, 1]) - int(a[0, 1]) * int(a[1, 0])) % p
-    total = 0
-    rest = a[1:]
+        return a[..., 0, 0]
+    total = np.zeros(a.shape[:-2], dtype=np.int64)
+    rest = a[..., 1:, :]
     for j in range(size):
-        if not a[0, j]:
-            continue
-        minor = np.delete(rest, j, axis=1)
-        term = int(a[0, j]) * _det_mod(minor, p)
-        total = total - term if j % 2 else total + term
-    return total % p
+        term = a[..., 0, j] * _det_mod(np.delete(rest, j, axis=-1), p) % p
+        total = (total - term if j % 2 else total + term) % p
+    return total
 
 
 @dataclass(frozen=True)
@@ -145,6 +218,7 @@ class FpMatrix:
     p: int = P_DEFAULT
 
     def __post_init__(self):
+        _check_modulus(self.p)
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.int64) % self.p)
 
     @property
@@ -172,6 +246,7 @@ class KalmanPoint:
     p: int = P_DEFAULT
 
     def __post_init__(self):
+        _check_modulus(self.p)
         phi = np.asarray(self.phi, dtype=np.int64)
         if phi.shape != (self.n, self.n):
             raise ValueError("phi must be n x n")
@@ -200,11 +275,9 @@ def reduced_kalman_matrix(pt: KalmanPoint) -> FpMatrix:
     """Vertical stack of gamma, gamma*alpha, ..., gamma*alpha^{d-1};
     shape d(n-d) x d.  Rows from the j-th block are values of degree-(j+1)
     polynomials in the entries of phi."""
-    blocks = []
-    current = pt.gamma
-    for _ in range(pt.d):
-        blocks.append(current)
-        current = _matmul_mod(current, pt.alpha, pt.p)
+    blocks = [pt.gamma]
+    for _ in range(pt.d - 1):
+        blocks.append(_matmul_mod(blocks[-1], pt.alpha, pt.p))
     return FpMatrix(np.vstack(blocks), pt.p)
 
 
@@ -219,6 +292,7 @@ def sample_member(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> Kalm
     """Deterministic random point of the variety: start from phi0 that
     preserves span(e_1..e_s) and conjugate by a random invertible g that
     preserves L, so the invariant subspace is a generic s-plane inside L."""
+    _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     rng = SplitMix64(seed)
@@ -238,6 +312,7 @@ def sample_member(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> Kalm
 
 def sample_generic(d: int, n: int, seed: int, p: int = P_DEFAULT) -> KalmanPoint:
     """Uniform random endomorphism (no invariance constraint)."""
+    _check_modulus(p)
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
     rng = SplitMix64(seed)
@@ -271,6 +346,7 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
     row (a, b) holds u_a (dM/dx) v_b for every entry x of phi.  If
     rank M < k-1, every cofactor of a k x k submatrix is a vanishing
     (k-1)-minor and the rank is 0."""
+    _check_modulus(p)
     if not 1 <= s < d < n:
         raise ValueError("need 1 <= s < d < n")
     pt = sample_member(s, d, n, seed, p)
@@ -346,6 +422,7 @@ def numeric_hilbert_function(
     HF_MARGIN more points than rows, and the max rank taken.  Refuses
     degrees whose monomial count exceeds `budget`.
     """
+    _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     if k_max < 0:
@@ -359,6 +436,9 @@ def numeric_hilbert_function(
         dims.append(count)
 
     minors = _minor_indices(s, d, n)
+    # stack[minor_rows, minor_cols] is the array of every minor's submatrix
+    minor_rows = np.array([rows for rows, _, _ in minors])[:, :, None]
+    minor_cols = np.array([cols for _, cols, _ in minors])[:, None, :]
     rng = SplitMix64(seed)
     hf = []
     prev_dim = 0
@@ -376,13 +456,12 @@ def numeric_hilbert_function(
             for _ in range(HF_REPEATS):
                 npts = min(len(row_specs), dims[k]) + HF_MARGIN
                 flats = np.empty((npts, nn), dtype=np.int64)
-                minor_vals = np.empty((npts, len(minors)), dtype=np.int64)
+                stacks = np.empty((npts, d * (n - d), d), dtype=np.int64)
                 for t in range(npts):
                     pt = KalmanPoint(d, n, rng.matrix(n, n, p), p)
                     flats[t] = pt.phi.reshape(-1)
-                    stack = reduced_kalman_matrix(pt).data
-                    for j, (rows, cols, _) in enumerate(minors):
-                        minor_vals[t, j] = _det_mod(stack[np.ix_(rows, cols)], p)
+                    stacks[t] = reduced_kalman_matrix(pt).data
+                minor_vals = _det_mod(stacks[:, minor_rows, minor_cols], p)
                 mat = np.empty((len(row_specs), npts), dtype=np.int64)
                 for r, (idx, mono) in enumerate(row_specs):
                     vals = minor_vals[:, idx].copy()

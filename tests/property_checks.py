@@ -309,3 +309,36 @@ def minors_jacobian_rank(phi, d, k, p):
                 ]
             )
     return rank_mod_p(jac, p)
+
+
+# -- elimination over F_p -----------------------------------------------------
+
+
+def echelon_unblocked(mat, p):
+    """Row echelon form over F_p by one int64 rank-1 update per pivot: the
+    pivot is the first nonzero row, it is scaled to 1 and the rows below it
+    are eliminated across every column to its right.  Returns (e, pivots)
+    in the format of kalman._echelon, which must match it bit for bit."""
+    import numpy as np
+
+    e = np.array(mat, dtype=np.int64) % p
+    rows, cols = e.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nonzero = np.nonzero(e[r:, c])[0]
+        if nonzero.size == 0:
+            continue
+        i = r + int(nonzero[0])
+        if i != r:
+            e[[r, i]] = e[[i, r]]
+        inv = pow(int(e[r, c]), p - 2, p)
+        e[r, c:] = (e[r, c:] * inv) % p
+        below = np.nonzero(e[r + 1 :, c])[0]
+        if below.size:
+            f = e[r + 1 + below, c][:, None]
+            e[r + 1 + below, c:] = (e[r + 1 + below, c:] - f * e[r, c:]) % p
+        pivots.append(c)
+    return e, pivots

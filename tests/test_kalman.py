@@ -19,7 +19,7 @@ from kalmanres.kalman import (
     sample_generic,
     sample_member,
 )
-from property_checks import laplace_adjugate, minors_jacobian_rank
+from property_checks import echelon_unblocked, laplace_adjugate, laplace_det, minors_jacobian_rank
 
 
 def rank(m, p):
@@ -73,6 +73,57 @@ class TestModularLinearAlgebra:
         assert pivots == [0, 1]
         assert e.tolist() == [[1, 0, 1], [0, 1, 2], [0, 0, 0]]
 
+    @pytest.mark.parametrize("p", [2, 3, P_DEFAULT])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        # one panel, one panel plus a remainder, up to three panels plus a
+        # remainder; tall and wide
+        [(5, 1), (70, 64), (64, 65), (150, 70), (40, 200), (130, 129), (90, 197)],
+    )
+    def test_echelon_matches_unblocked_loop(self, rows, cols, p):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        full = rng.integers(0, p, (rows, cols))
+        r = min(rows, cols) // 2 + 1
+        low_rank = (
+            rng.integers(0, p, (rows, r)).astype(object) @ rng.integers(0, p, (r, cols)).astype(object)
+        ) % p
+        zero_cols = rng.integers(0, p, (rows, cols))
+        zero_cols[:, rng.integers(0, cols, cols // 2 + 1)] = 0
+        zero_cols[: rows // 3] = 0  # the first pivots come from swaps
+        for m in (full, low_rank.astype(np.int64), zero_cols):
+            e, pivots = _echelon(m, p)
+            expected_e, expected_pivots = echelon_unblocked(m, p)
+            assert pivots == expected_pivots
+            assert e.dtype == expected_e.dtype and e.tolist() == expected_e.tolist()
+
+    @pytest.mark.parametrize("inner", [1, 64, 65, 200])
+    def test_matmul_mod_exact_at_worst_case(self, inner):
+        # every entry p-1 makes every limb and partial sum as large as it gets
+        p = P_DEFAULT
+        rng = np.random.default_rng(inner)
+        cases = [
+            (np.full((3, inner), p - 1), np.full((inner, 4), p - 1)),
+            # near p-1 but odd and even, so that a rounded sum would show
+            (p - 1 - rng.integers(0, 1 << 15, (3, inner)), p - 1 - rng.integers(0, 1 << 15, (inner, 4))),
+            (np.full((3, inner), p - 1), np.full((2, inner, 4), p - 1)),
+            (rng.integers(0, p, (2, 3, inner)), rng.integers(0, p, (inner, 5))),
+        ]
+        for a, b in cases:
+            expected = (a.astype(object) @ b.astype(object)) % p
+            got = _matmul_mod(a, b, p)
+            assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("p", [3, P_DEFAULT])
+    def test_det_mod_over_a_batch(self, p):
+        rng = np.random.default_rng(p)
+        for size in range(1, 5):
+            batch = rng.integers(0, p, (4, 3, size, size))
+            batch[0, 0] = p - 1
+            got = _det_mod(batch, p)
+            assert got.shape == (4, 3)
+            for idx in np.ndindex(4, 3):
+                assert got[idx] == laplace_det(batch[idx].tolist(), p), (size, idx)
+
     def test_left_kernel(self):
         p = P_DEFAULT
         rng = SplitMix64(5)
@@ -106,6 +157,29 @@ class TestModularLinearAlgebra:
         assert m.rank() == 2
         sq = m @ m
         assert sq.data.tolist() == [[7, 10], [15, 22]]
+
+
+class TestModulus:
+    # 2^61-1 overflows int64 products (rank 3 for a rank-2 matrix) and over
+    # Z/9 pow(x, p-2, p) is no inverse (rank 1 for an invertible matrix)
+    @pytest.mark.parametrize("p", [1, 4, 9, (1 << 31) + 11, (1 << 61) - 1])
+    def test_rejected(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            FpMatrix(np.array([[3, 1], [1, 0]], dtype=np.int64), p)
+        with pytest.raises(ValueError, match="prime"):
+            KalmanPoint(d=2, n=4, phi=np.zeros((4, 4), dtype=np.int64), p=p)
+        with pytest.raises(ValueError, match="prime"):
+            sample_member(1, 2, 4, seed=0, p=p)
+        with pytest.raises(ValueError, match="prime"):
+            sample_generic(2, 4, seed=0, p=p)
+        with pytest.raises(ValueError, match="prime"):
+            jacobian_codim(1, 2, 4, seed=0, p=p)
+        with pytest.raises(ValueError, match="prime"):
+            numeric_hilbert_function(1, 2, 4, k_max=1, seed=0, p=p)
+
+    @pytest.mark.parametrize("p", [2, 3, 97, P_DEFAULT])
+    def test_accepted(self, p):
+        assert FpMatrix(np.array([[3, 1], [1, 0]], dtype=np.int64), p).rank() == 2
 
 
 class TestKalmanPoint:
