@@ -20,6 +20,11 @@ over kernel bases u_a M = 0 = M v_b, and if rank M < k-1 it is 0.
 
 All randomness flows through SplitMix64 (documented below) so that every
 result is reproducible bit-for-bit from its seed.
+
+numpy is imported inside each function that uses it, not at module level:
+the CLI and the package import this module, and the symbolic subcommands,
+which never call it, would otherwise spend most of their start-up loading
+numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, isqrt
-
-import numpy as np
 
 P_DEFAULT = (1 << 31) - 1  # Mersenne prime; every modulus must be a prime below 2^31
 
@@ -75,6 +78,7 @@ class SplitMix64:
         return self.next_u64() % p
 
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
+        import numpy as np
         return np.array(
             [[self.field_element(p) for _ in range(cols)] for _ in range(rows)],
             dtype=np.int64,
@@ -99,6 +103,7 @@ def _echelon(mat: np.ndarray, p: int):
     operations of the unblocked loop, applied later, so (e, pivots) does not
     depend on BLOCK.  Entries stay below p < 2^31, so the panel's int64 row
     updates do not overflow and the products are exact (_matmul_mod)."""
+    import numpy as np
     e = np.array(mat, dtype=np.int64) % p
     rows, cols = e.shape
     pivots = []
@@ -150,6 +155,7 @@ def _left_kernel(m: np.ndarray, p: int):
 
     Eliminating [m | I] records the row operations in the identity block;
     the rows left without a pivot in m are combinations killing m."""
+    import numpy as np
     rows, cols = m.shape
     e, pivots = _echelon(np.hstack([m, np.eye(rows, dtype=np.int64)]), p)
     rank = sum(c < cols for c in pivots)
@@ -166,6 +172,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     the reduction (np.fmod is many times slower than int64 %): the chunk
     is 2^16 (hi-sum mod p) + lo-sum < 2^54, and it is added to the running
     result mod p."""
+    import numpy as np
     a = np.asarray(a, dtype=np.int64) % p
     b = (np.asarray(b, dtype=np.int64) % p).astype(np.float64)
     hi = (a >> 16).astype(np.float64)
@@ -182,6 +189,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _inverse_mod(a: np.ndarray, p: int):
     """Inverse of a square matrix over F_p, or None if singular."""
+    import numpy as np
     size = a.shape[0]
     e, pivots = _echelon(np.hstack([a, np.eye(size, dtype=np.int64)]), p)
     if pivots[-1] >= size:
@@ -198,6 +206,7 @@ def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     at every sampled point.  Entries are reduced below p < 2^31, so each
     product of two residues fits in int64, and every term is reduced before
     it is added."""
+    import numpy as np
     a = np.asarray(a, dtype=np.int64) % p
     size = a.shape[-1]
     if size == 1:
@@ -218,6 +227,7 @@ class FpMatrix:
     p: int = P_DEFAULT
 
     def __post_init__(self):
+        import numpy as np
         _check_modulus(self.p)
         object.__setattr__(self, "data", np.asarray(self.data, dtype=np.int64) % self.p)
 
@@ -246,6 +256,7 @@ class KalmanPoint:
     p: int = P_DEFAULT
 
     def __post_init__(self):
+        import numpy as np
         _check_modulus(self.p)
         phi = np.asarray(self.phi, dtype=np.int64)
         if phi.shape != (self.n, self.n):
@@ -275,6 +286,7 @@ def reduced_kalman_matrix(pt: KalmanPoint) -> FpMatrix:
     """Vertical stack of gamma, gamma*alpha, ..., gamma*alpha^{d-1};
     shape d(n-d) x d.  Rows from the j-th block are values of degree-(j+1)
     polynomials in the entries of phi."""
+    import numpy as np
     blocks = [pt.gamma]
     for _ in range(pt.d - 1):
         blocks.append(_matmul_mod(blocks[-1], pt.alpha, pt.p))
@@ -292,6 +304,7 @@ def sample_member(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> Kalm
     """Deterministic random point of the variety: start from phi0 that
     preserves span(e_1..e_s) and conjugate by a random invertible g that
     preserves L, so the invariant subspace is a generic s-plane inside L."""
+    import numpy as np
     _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
@@ -346,6 +359,7 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
     row (a, b) holds u_a (dM/dx) v_b for every entry x of phi.  If
     rank M < k-1, every cofactor of a k x k submatrix is a vanishing
     (k-1)-minor and the rank is 0."""
+    import numpy as np
     _check_modulus(p)
     if not 1 <= s < d < n:
         raise ValueError("need 1 <= s < d < n")
@@ -422,6 +436,7 @@ def numeric_hilbert_function(
     HF_MARGIN more points than rows, and the max rank taken.  Refuses
     degrees whose monomial count exceeds `budget`.
     """
+    import numpy as np
     _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")

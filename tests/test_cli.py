@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from kalmanres.bott import GrassmannianContext
-from kalmanres.cli import MISMATCH, OK, REFUSED, USAGE, main
+from kalmanres.cli import _VERIFIERS, MISMATCH, OK, REFUSED, USAGE, main
 from kalmanres.geometric import BettiTable, resolution_terms
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_json(capsys, argv):
@@ -207,3 +213,63 @@ class TestVerify:
         assert main(["verify", "thm-3-3", "--n", "4"]) == OK
         out = capsys.readouterr().out
         assert "verify thm-3-3: OK" in out
+
+
+# Runs CLI calls in one fresh interpreter: the calls' stdout goes to stdout,
+# and the last stderr line is a JSON list of [call, exit code, whether numpy
+# is loaded after it], led by ["import", None, ...] for the bare imports.
+_STARTUP_PROBE = """
+import json, sys
+import kalmanres, kalmanres.cli
+report = [["import", None, "numpy" in sys.modules]]
+for call in json.loads(sys.argv[1]):
+    code = kalmanres.cli.main(call.split())
+    report.append([call, code, "numpy" in sys.modules])
+print(json.dumps(report), file=sys.stderr)
+"""
+
+
+def run_fresh(calls):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(calls)],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    return child.stdout, json.loads(child.stderr.decode().splitlines()[-1])
+
+
+class TestStartup:
+    """Only the F_p subcommands load numpy, and only when they run."""
+
+    VERIFY_CALLS = {
+        "prop-2-2": "--d 2 --n 5",
+        "prop-2-4": "--n 5",
+        "m2-output": "",
+        "thm-3-3": "--n 4",
+        "thm-3-5": "--n 6",
+        "prop-sdm1": "--d 3",
+        "prop-ndp1": "--d 2",
+        "inductive-d2": "--n 4",
+        "inductive-d3": "--n 5",
+    }
+
+    def test_symbolic_subcommands_never_load_numpy(self):
+        assert set(self.VERIFY_CALLS) == set(_VERIFIERS)
+        calls = [
+            "betti --s 1 --d 2 --n 4",
+            "hilbert --s 1 --d 2 --n 5",
+            "cohomology --s 2 --d 3 --n 8 --q 1",
+            "conjecture --d 2 --n 5",
+        ] + [f"verify {vid} {rest}".strip() for vid, rest in self.VERIFY_CALLS.items()]
+        _, report = run_fresh(calls)
+        assert [row[0] for row in report] == ["import"] + calls
+        assert [row for row in report if row[1] not in (None, OK) or row[2]] == []
+
+    def test_fp_subcommand_loads_numpy_with_unchanged_output(self):
+        stdout, report = run_fresh(["codim --s 1 --d 3 --n 5 --json"])
+        assert report == [["import", None, False], ["codim --s 1 --d 3 --n 5 --json", OK, True]]
+        assert stdout == (ROOT / "bench" / "reference" / "codim_s_1_d_3_n_5.stdout").read_bytes()
