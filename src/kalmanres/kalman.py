@@ -4,7 +4,8 @@ Everything here works directly with matrices, independent of the
 representation-theoretic machinery: build the stacked matrix (gamma;
 gamma*alpha; ...; gamma*alpha^{d-1}) whose minor vanishing cuts out the
 variety, sample points on and off it, measure the Jacobian rank of the
-minors, and estimate the minor ideal's Hilbert function by evaluation.
+minors, and estimate the minor ideal's Hilbert function by evaluation,
+one rank per weight of the diagonal torus.
 
 All elimination over F_p (rank, inverse, kernels) goes through _echelon.
 It is blocked: columns are eliminated in panels of BLOCK = 64 by the plain
@@ -418,6 +419,23 @@ HF_MARGIN = 5  # evaluation points beyond the number of rows
 HF_REPEATS = 2  # independent point sets per degree; the max rank is kept
 
 
+def _row_weights(d: int, n: int, rows: np.ndarray, cols: np.ndarray, monos: np.ndarray) -> np.ndarray:
+    """Torus weights of evaluation rows, one weight vector in Z^n per row.
+
+    Row i is the minor of the stack on rows[i] x cols[i] times the monomial
+    in the variables monos[i]: index a n + b is x_ab = phi[a, b], index n^2
+    the constant 1.  t = diag(t_1, ..., t_n) acts by phi -> t phi t^-1,
+    which preserves L, and a row f satisfies f(t phi t^-1) = t^w f(phi):
+    x_ab has weight e_a - e_b, so entry (a, b) of gamma alpha^j, a sum of
+    x_{d+a,c_1} x_{c_1,c_2} ... x_{c_j,b}, has weight e_{d+a} - e_b.  Stack
+    row r is row r mod (n-d) of its block, and a product's weight is the
+    sum of its factors' weights."""
+    import numpy as np
+    eye = np.eye(n, dtype=np.int64)
+    var = np.vstack([(eye[:, None] - eye[None, :]).reshape(n * n, n), np.zeros((1, n), dtype=np.int64)])
+    return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2) + var[monos].sum(-2)
+
+
 def numeric_hilbert_function(
     s: int,
     d: int,
@@ -428,13 +446,27 @@ def numeric_hilbert_function(
     budget: int = 100_000,
 ):
     """Hilbert function of A / (minor ideal) in degrees 0..k_max, estimated
-    by evaluation: rows are (minor x complementary monomial), columns are
-    random points; dim I_k is the rank, HF_k = C(n^2+k-1, k) - dim I_k.
+    by evaluation: the rows of degree k are (minor x complementary
+    monomial), dim I_k is the dimension of their span and
+    HF_k = C(n^2+k-1, k) - dim I_k.
 
-    Wrong answers can only underestimate dim I_k (rank drops on unlucky
-    points), so each degree is evaluated at HF_REPEATS independent sets of
-    HF_MARGIN more points than rows, and the max rank taken.  Refuses
-    degrees whose monomial count exceeds `budget`.
+    Every row is a weight vector of the diagonal torus (_row_weights), and
+    vectors of distinct weights are linearly independent, so dim I_k is the
+    sum over weights of the rank of the rows of that weight.  One point set
+    is drawn per degree and repeat; a block of r rows is evaluated at its
+    first min(r, C(n^2+k-1, k)) + HF_MARGIN points, and the largest rank
+    over HF_REPEATS point sets is kept for each block.
+
+    Error: if a block's rows span a space of dimension rho <= r, its rank at
+    the points is rho unless a nonzero rho x rho determinant, a polynomial of
+    degree k rho in the points' coordinates, vanishes at them; by
+    Schwartz-Zippel that has probability at most k r / p.  By the union bound
+    over blocks and degrees, every dim I_k is exact with probability at least
+    1 - sum_k k R_k / p, R_k the number of rows of degree k.  A failure only
+    lowers a rank, so dim I_k can only be underestimated and HF_k only
+    overestimated.  That one-sidedness needs the grading to be right: rows
+    put in different blocks by a wrong weight would have a common span
+    counted twice.  Refuses degrees whose monomial count exceeds `budget`.
     """
     import numpy as np
     _check_modulus(p)
@@ -451,39 +483,45 @@ def numeric_hilbert_function(
         dims.append(count)
 
     minors = _minor_indices(s, d, n)
-    # stack[minor_rows, minor_cols] is the array of every minor's submatrix
-    minor_rows = np.array([rows for rows, _, _ in minors])[:, :, None]
-    minor_cols = np.array([cols for _, cols, _ in minors])[:, None, :]
+    minor_rows = np.array([rows for rows, _, _ in minors])
+    minor_cols = np.array([cols for _, cols, _ in minors])
     rng = SplitMix64(seed)
     hf = []
     prev_dim = 0
     for k in range(k_max + 1):
-        row_specs = []
-        for idx, (rows, cols, deg) in enumerate(minors):
-            if deg > k:
-                continue
-            for mono in combinations_with_replacement(range(nn), k - deg):
-                row_specs.append((idx, mono))
-        if not row_specs:
-            dim_k = 0
-        else:
-            dim_k = 0
+        # row = (minor idx[i]) x (monomial monos[i]), padded to length k by
+        # the constant 1 (variable nn)
+        idx, monos = [], []
+        for i, (_, _, deg) in enumerate(minors):
+            if deg <= k:
+                for mono in combinations_with_replacement(range(nn), k - deg):
+                    idx.append(i)
+                    monos.append(mono + (nn,) * deg)
+        dim_k = 0
+        if idx:
+            idx, monos = np.array(idx), np.array(monos)
+            weights = _row_weights(d, n, minor_rows[idx], minor_cols[idx], monos)
+            _, inverse, counts = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
+            # blocks[b]: the rows whose weight is the b-th distinct one
+            blocks = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+            ranks = np.zeros(len(blocks), dtype=np.int64)
+            npts = min(int(counts.max()), dims[k]) + HF_MARGIN
             for _ in range(HF_REPEATS):
-                npts = min(len(row_specs), dims[k]) + HF_MARGIN
-                flats = np.empty((npts, nn), dtype=np.int64)
+                flats = np.ones((npts, nn + 1), dtype=np.int64)
                 stacks = np.empty((npts, d * (n - d), d), dtype=np.int64)
                 for t in range(npts):
                     pt = KalmanPoint(d, n, rng.matrix(n, n, p), p)
-                    flats[t] = pt.phi.reshape(-1)
+                    flats[t, :nn] = pt.phi.reshape(-1)
                     stacks[t] = reduced_kalman_matrix(pt).data
-                minor_vals = _det_mod(stacks[:, minor_rows, minor_cols], p)
-                mat = np.empty((len(row_specs), npts), dtype=np.int64)
-                for r, (idx, mono) in enumerate(row_specs):
-                    vals = minor_vals[:, idx].copy()
-                    for var in mono:
-                        vals = (vals * flats[:, var]) % p
-                    mat[r] = vals
-                dim_k = max(dim_k, len(_echelon(mat, p)[1]))
+                minor_vals = _det_mod(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
+                for b, block in enumerate(blocks):
+                    m = min(len(block), dims[k]) + HF_MARGIN
+                    vals = minor_vals[:m, idx[block]]
+                    for j in range(k):
+                        vals = vals * flats[:m, monos[block, j]] % p
+                    # points x rows: its rank is the rank of the block's rows
+                    ranks[b] = max(ranks[b], len(_echelon(vals, p)[1]))
+            dim_k = int(ranks.sum())
         if dim_k < prev_dim:
             raise RuntimeError(f"dim I_{k} = {dim_k} is below dim I_{k - 1} = {prev_dim}")
         prev_dim = dim_k

@@ -342,3 +342,63 @@ def echelon_unblocked(mat, p):
             e[r + 1 + below, c:] = (e[r + 1 + below, c:] - f * e[r, c:]) % p
         pivots.append(c)
     return e, pivots
+
+
+# -- Hilbert function by dense evaluation --------------------------------------
+
+
+def hilbert_function_dense(s, d, n, k_max, seed, p):
+    """kalman.numeric_hilbert_function without the torus grading: in each
+    degree k, one evaluation matrix holds every (minor x monomial) row at
+    min(rows, C(n^2+k-1, k)) + HF_MARGIN points, and dim I_k is its largest
+    rank over HF_REPEATS point sets.  Points are drawn as the library draws
+    them, so at a given seed this is the function's output before it was
+    graded."""
+    from itertools import combinations_with_replacement
+    from math import comb
+
+    import numpy as np
+
+    from kalmanres.kalman import (
+        HF_MARGIN,
+        HF_REPEATS,
+        KalmanPoint,
+        SplitMix64,
+        _det_mod,
+        _echelon,
+        _minor_indices,
+        reduced_kalman_matrix,
+    )
+
+    nn = n * n
+    minors = _minor_indices(s, d, n)
+    minor_rows = np.array([rows for rows, _, _ in minors])[:, :, None]
+    minor_cols = np.array([cols for _, cols, _ in minors])[:, None, :]
+    rng = SplitMix64(seed)
+    hf = []
+    for k in range(k_max + 1):
+        row_specs = [
+            (idx, mono)
+            for idx, (_, _, deg) in enumerate(minors)
+            if deg <= k
+            for mono in combinations_with_replacement(range(nn), k - deg)
+        ]
+        dim_k = 0
+        for _ in range(HF_REPEATS if row_specs else 0):
+            npts = min(len(row_specs), comb(nn + k - 1, k)) + HF_MARGIN
+            flats = np.empty((npts, nn), dtype=np.int64)
+            stacks = np.empty((npts, d * (n - d), d), dtype=np.int64)
+            for t in range(npts):
+                pt = KalmanPoint(d, n, rng.matrix(n, n, p), p)
+                flats[t] = pt.phi.reshape(-1)
+                stacks[t] = reduced_kalman_matrix(pt).data
+            minor_vals = _det_mod(stacks[:, minor_rows, minor_cols], p)
+            mat = np.empty((len(row_specs), npts), dtype=np.int64)
+            for r, (idx, mono) in enumerate(row_specs):
+                vals = minor_vals[:, idx].copy()
+                for var in mono:
+                    vals = (vals * flats[:, var]) % p
+                mat[r] = vals
+            dim_k = max(dim_k, len(_echelon(mat, p)[1]))
+        hf.append(comb(nn + k - 1, k) - dim_k)
+    return hf

@@ -1,3 +1,7 @@
+import json
+from math import comb
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from kalmanres.kalman import (
     _inverse_mod,
     _left_kernel,
     _matmul_mod,
+    _minor_indices,
+    _row_weights,
     jacobian_codim,
     minors_vanish,
     numeric_hilbert_function,
@@ -19,7 +25,20 @@ from kalmanres.kalman import (
     sample_generic,
     sample_member,
 )
-from property_checks import echelon_unblocked, laplace_adjugate, laplace_det, minors_jacobian_rank
+from property_checks import (
+    echelon_unblocked,
+    hilbert_function_dense,
+    laplace_adjugate,
+    laplace_det,
+    minors_jacobian_rank,
+)
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+
+def cases(n_max):
+    """Every (s, d, n) with 1 <= s <= d < n <= n_max."""
+    return [(s, d, n) for n in range(2, n_max + 1) for d in range(1, n) for s in range(1, d + 1)]
 
 
 def rank(m, p):
@@ -322,11 +341,68 @@ class TestNumericHilbertFunction:
 
     def test_monotone_and_bounded(self):
         hf = numeric_hilbert_function(1, 2, 4, k_max=3, seed=1)
-        from math import comb
-
         assert all(hf[i] <= hf[i + 1] for i in range(len(hf) - 1))
         for k, v in enumerate(hf):
             assert v <= comb(16 + k - 1, k)
+
+    # dense evaluation of (s, s, 4) at k = 4 eliminates 2448-3808 rows (8-21 s
+    # each), so those three stop at k = 3; test_linear_ideal reaches k = 4
+    @pytest.mark.parametrize("s,d,n", cases(4))
+    def test_matches_dense_oracle(self, s, d, n):
+        k_max = 3 if s == d and n == 4 else 4
+        for seed in range(3):
+            expected = hilbert_function_dense(s, d, n, k_max, seed, P_DEFAULT)
+            assert numeric_hilbert_function(s, d, n, k_max, seed) == expected, seed
+
+    @pytest.mark.parametrize("d,n", [(d, n) for n in range(2, 5) for d in range(1, n)])
+    def test_linear_ideal(self, d, n):
+        # s = d: the 1-minors are the stack's entries, which generate the
+        # ideal of the linear space gamma = 0
+        free = n * n - d * (n - d)
+        expected = [comb(free + k - 1, k) for k in range(5)]
+        assert numeric_hilbert_function(d, d, n, k_max=4, seed=0) == expected
+
+    @pytest.mark.parametrize("s,d,n", [(1, 2, 4), (2, 3, 4)])
+    def test_benchmark_references(self, s, d, n):
+        # the Hilbert function is a property of the variety: every seed must
+        # reproduce the benchmark's reference, captured at seed 0
+        path = REFERENCE / f"hf_s_{s}_d_{d}_n_{n}_kmax_5.stdout"
+        expected = json.loads(path.read_text())["hilbert_function"]
+        for seed in range(6):
+            assert numeric_hilbert_function(s, d, n, k_max=5, seed=seed) == expected, seed
+
+    @pytest.mark.parametrize("s,d,n", cases(5))
+    def test_rows_are_weight_vectors(self, s, d, n):
+        # every (minor x monomial) row f, monomials of degree <= 1, satisfies
+        # f(t phi t^-1) = t^w f(phi) at a random phi and diagonal t over F_p
+        p = P_DEFAULT
+        rng = SplitMix64(100 * n + 10 * d + s)
+        minors = _minor_indices(s, d, n)
+        rows = np.array([r for r, _, _ in minors])
+        cols = np.array([c for _, c, _ in minors])
+        nn = n * n
+        idx = np.repeat(np.arange(len(minors)), nn + 1)
+        monos = np.tile(np.arange(nn + 1), len(minors))[:, None]
+        weights = _row_weights(d, n, rows[idx], cols[idx], monos)
+
+        def values(phi):
+            stack = reduced_kalman_matrix(KalmanPoint(d, n, phi, p)).data
+            dets = np.array([laplace_det(stack[np.ix_(r, c)].tolist(), p) for r, c in zip(rows, cols)])
+            flat = np.append(phi.reshape(-1), 1)
+            return dets[idx] * flat[monos[:, 0]] % p
+
+        phi = rng.matrix(n, n, p)
+        t = [1 + rng.field_element(p - 1) for _ in range(n)]
+        conj = np.array([[int(phi[a, b]) * t[a] * pow(t[b], -1, p) % p for b in range(n)] for a in range(n)])
+
+        def t_power(w):
+            out = 1
+            for t_i, e in zip(t, w.tolist()):
+                out = out * pow(t_i, e, p) % p
+            return out
+
+        scale = np.array([t_power(w) for w in weights])
+        assert (values(phi) * scale % p == values(conj)).all()
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as exc:
