@@ -9,7 +9,7 @@ the minor equations, the Jacobian codimension, and low-degree Hilbert
 function values.
 """
 
-from .bott import CohomologyResult, GrassmannianContext, bott, cohomology_of_summand, kempf_h0
+from .bott import CohomologyResult, GrassmannianContext, bott, cohomology_of_summand
 from .geometric import (
     BettiTable,
     HilbertSeries,
@@ -41,21 +41,16 @@ from .partitions import (
     partitions_in_box,
     partitions_of,
     schur_rank,
-    weight_rank,
 )
 from .resolutions import (
     Cancellation,
     CancellationError,
     ConjectureReport,
-    ExactSequenceSpec,
-    cancellations_from_json_obj,
-    cancellations_to_json_obj,
     cone_table_d2,
     conjecture_consistency,
     d2_cancellations,
     d3_stage1_cancellations,
     d3_stage2_cancellations,
-    intermediate_claims_d3,
     intermediate_table_d3,
     kalman_cone_d3,
     kalman_equations_d3,
@@ -70,11 +65,9 @@ from .resolutions import (
 )
 from .schur import (
     cauchy_exterior,
-    cauchy_symmetric,
     lr_coefficient,
     lr_product,
     pieri_horizontal,
-    pieri_vertical,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +79,6 @@ __all__ = [
     "CancellationError",
     "CohomologyResult",
     "ConjectureReport",
-    "ExactSequenceSpec",
     "FpMatrix",
     "GrassmannianContext",
     "HilbertSeries",
@@ -97,10 +89,7 @@ __all__ = [
     "Weight",
     "XiSummand",
     "bott",
-    "cancellations_from_json_obj",
-    "cancellations_to_json_obj",
     "cauchy_exterior",
-    "cauchy_symmetric",
     "cohomology_of_summand",
     "cohomology_table",
     "cone_table_d2",
@@ -111,13 +100,11 @@ __all__ = [
     "dual_weight",
     "hilbert_series",
     "hilbert_series_normalization",
-    "intermediate_claims_d3",
     "intermediate_table_d3",
     "jacobian_codim",
     "kalman_cone_d3",
     "kalman_equations_d3",
     "kalman_table_d2",
-    "kempf_h0",
     "koszul_table",
     "lr_coefficient",
     "lr_product",
@@ -127,7 +114,6 @@ __all__ = [
     "partitions_in_box",
     "partitions_of",
     "pieri_horizontal",
-    "pieri_vertical",
     "predicted_hilbert_series",
     "reduced_kalman_matrix",
     "resolution_terms",
@@ -138,7 +124,6 @@ __all__ = [
     "table_s1",
     "table_s2_d3",
     "table_w_line",
-    "weight_rank",
     "weyl_euler_characteristic",
     "xi_exterior_decomposition",
 ]

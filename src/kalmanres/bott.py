@@ -131,26 +131,3 @@ def cohomology_of_summand(
     beta = lam_r.pad(ctx.rank_sub)
     return bott(alpha, beta, ctx)
 
-
-def kempf_h0(
-    alpha: Partition, beta: Partition, ctx: GrassmannianContext
-) -> Optional[Partition]:
-    """Sections of the dual-side bundle with partition weight alpha on R* and
-    beta on Q*.
-
-    If the concatenation (alpha padded to length s, beta) is a partition,
-    i.e. alpha_s >= beta_1, all sections form the irreducible on the dual of
-    the ambient space labelled by that concatenation, and there is no higher
-    cohomology.  Otherwise the bundle has no sections at all and None is
-    returned.  This statement is characteristic-free; in characteristic zero
-    it must agree with bott() on the dualized weights.
-    """
-    alpha = Partition(alpha)
-    beta = Partition(beta)
-    if alpha.length() > ctx.rank_sub:
-        raise ValueError(f"{alpha!r} exceeds rank {ctx.rank_sub} of the sub-bundle")
-    if beta.length() > ctx.rank_quot:
-        raise ValueError(f"{beta!r} exceeds rank {ctx.rank_quot} of the quotient")
-    if alpha.part(ctx.rank_sub - 1) < beta.part(0):
-        return None
-    return Partition(alpha.pad(ctx.rank_sub) + tuple(beta))

@@ -218,85 +218,74 @@ def _cmd_hf(args) -> int:
 # -- golden verifications ----------------------------------------------------
 
 
+def _case(cases, lines, ok, label, line=None, **extra):
+    """Record one verify case: its JSON entry and its human-readable line
+    (`line` when the line says more than the label).  Verifiers record
+    every case here and return nothing; _cmd_verify takes the verdict from
+    the case list."""
+    cases.append({"case": label, "ok": ok, **extra})
+    lines.append(f"{line or label}: {'OK' if ok else 'MISMATCH'}")
+
+
 def _tables_equal(engine, golden, label, cases, lines):
     ok = engine == golden
-    cases.append({"case": label, "ok": ok})
-    lines.append(f"{label}: {'OK' if ok else 'MISMATCH'}")
+    _case(cases, lines, ok, label)
     if not ok:
         print(f"{label} diff:\n{engine.diff(golden)}", file=sys.stderr)
-    return ok
 
 
-def _verify_prop_2_2(args, cases, lines) -> bool:
+def _verify_prop_2_2(args, cases, lines):
     pairs = [(2, 5), (3, 6), (4, 8), (5, 9)]
     if args.d is not None or args.n is not None:
         d = 2 if args.d is None else args.d
         pairs = [(d, d + 3 if args.n is None else args.n)]
-    ok = True
     for d, n in pairs:
         engine = resolution_terms(GrassmannianContext(1, d, n))
-        good = _tables_equal(engine, table_s1(d, n), f"s=1 table ({d},{n})", cases, lines)
+        _tables_equal(engine, table_s1(d, n), f"s=1 table ({d},{n})", cases, lines)
         extras = engine.regularity() == d - 1 and engine.proj_dim() == n - d
-        cases.append({"case": f"s=1 reg/pd ({d},{n})", "ok": extras})
-        lines.append(f"s=1 reg/pd ({d},{n}): {'OK' if extras else 'MISMATCH'}")
-        ok = ok and good and extras
-    return ok
+        _case(cases, lines, extras, f"s=1 reg/pd ({d},{n})")
 
 
-def _verify_prop_2_4(args, cases, lines) -> bool:
-    ns = [5, 6, 7, 8] if args.n is None else [args.n]
-    ok = True
-    for n in ns:
+def _verify_prop_2_4(args, cases, lines):
+    for n in [5, 6, 7, 8] if args.n is None else [args.n]:
         engine = resolution_terms(GrassmannianContext(2, 3, n))
-        good = _tables_equal(
+        _tables_equal(
             engine.restrict_index(3), table_s2_d3(n), f"(2,3,{n}) indices 0..3", cases, lines
         )
-        reg = engine.regularity() == 2
-        cases.append({"case": f"(2,3,{n}) regularity", "ok": reg})
-        lines.append(f"(2,3,{n}) regularity 2: {'OK' if reg else 'MISMATCH'}")
-        ok = ok and good and reg
-    return ok
+        _case(
+            cases, lines, engine.regularity() == 2, f"(2,3,{n}) regularity",
+            line=f"(2,3,{n}) regularity 2",
+        )
 
 
-def _verify_m2_output(args, cases, lines) -> bool:
+def _verify_m2_output(args, cases, lines):
     ctx = GrassmannianContext(2, 3, 8)
     expected = {1: (1, 0), 2: (45, 1), 3: (180, 15), 4: (310, 145)}
 
     def group_rank(coh, j):
         return sum(_group_rank(ctx, lam, mu, mult) for (lam, mu), mult in coh.get(j, {}).items())
 
-    ok = True
     for q, (h1, h2) in expected.items():
         coh = cohomology_table(ctx, q)
         got = (group_rank(coh, 1), group_rank(coh, 2))
-        good = got == (h1, h2)
-        cases.append({"case": f"q={q}", "ok": good, "got": list(got)})
-        lines.append(f"q={q}: ranks {got}, expected {(h1, h2)}: {'OK' if good else 'MISMATCH'}")
-        ok = ok and good
+        _case(
+            cases, lines, got == (h1, h2), f"q={q}",
+            line=f"q={q}: ranks {got}, expected {(h1, h2)}", got=list(got),
+        )
     h2_5 = group_rank(cohomology_table(ctx, 5), 2)
-    good = h2_5 == 705
-    cases.append({"case": "q=5", "ok": good, "got": h2_5})
-    lines.append(f"q=5: H^2 rank {h2_5}, expected 705: {'OK' if good else 'MISMATCH'}")
-    return ok and good
+    _case(cases, lines, h2_5 == 705, "q=5", line=f"q=5: H^2 rank {h2_5}, expected 705", got=h2_5)
 
 
-def _verify_thm_3_3(args, cases, lines) -> bool:
-    ns = [4, 5, 6, 7, 8] if args.n is None else [args.n]
-    ok = True
-    for n in ns:
+def _verify_thm_3_3(args, cases, lines):
+    for n in [4, 5, 6, 7, 8] if args.n is None else [args.n]:
         cone = cone_table_d2(n)
-        good = _tables_equal(cone, kalman_table_d2(n), f"d=2 cone ({n})", cases, lines)
+        _tables_equal(cone, kalman_table_d2(n), f"d=2 cone ({n})", cases, lines)
         extras = cone.proj_dim() == 2 * n - 5 and cone.regularity() == 2
-        cases.append({"case": f"d=2 pd/reg ({n})", "ok": extras})
-        lines.append(f"d=2 pd/reg ({n}): {'OK' if extras else 'MISMATCH'}")
-        ok = ok and good and extras
-    return ok
+        _case(cases, lines, extras, f"d=2 pd/reg ({n})")
 
 
-def _verify_thm_3_5(args, cases, lines) -> bool:
-    ns = [6, 7, 8, 9] if args.n is None else [args.n]
-    ok = True
-    for n in ns:
+def _verify_thm_3_5(args, cases, lines):
+    for n in [6, 7, 8, 9] if args.n is None else [args.n]:
         table = kalman_cone_d3(n)
         counts = {e: table.rank(1, e) for e in table.degrees(1)}
         expected = {
@@ -306,58 +295,41 @@ def _verify_thm_3_5(args, cases, lines) -> bool:
             6: comb(n - 1, 3),
         }
         expected = {e: c for e, c in expected.items() if c}
-        good = counts == expected
         listed = {(e, lam, mu) for lam, mu, e in kalman_equations_d3(n)}
         entries = {
             (e, lam, mu)
             for i, e, lam, mu, _m in table.entries()
             if i == 1
         }
-        good = good and entries == listed
-        cases.append({"case": f"d=3 generators ({n})", "ok": good, "counts": counts})
-        lines.append(
-            f"d=3 generator degrees ({n}): {counts} expected {expected}: "
-            f"{'OK' if good else 'MISMATCH'}"
+        _case(
+            cases, lines, counts == expected and entries == listed, f"d=3 generators ({n})",
+            line=f"d=3 generator degrees ({n}): {counts} expected {expected}", counts=counts,
         )
-        ok = ok and good
-    return ok
 
 
-def _verify_prop_sdm1(args, cases, lines) -> bool:
-    ds = [3, 4, 5, 6] if args.d is None else [args.d]
-    ok = True
-    for d in ds:
+def _verify_prop_sdm1(args, cases, lines):
+    for d in [3, 4, 5, 6] if args.d is None else [args.d]:
         n = d + 3 if args.n is None else args.n
         engine = resolution_terms(GrassmannianContext(d - 1, d, n)).restrict_index(2)
-        ok = _tables_equal(
-            engine, table_corank1(d, n), f"s=d-1 table ({d},{n})", cases, lines
-        ) and ok
-    return ok
+        _tables_equal(engine, table_corank1(d, n), f"s=d-1 table ({d},{n})", cases, lines)
 
 
-def _verify_prop_ndp1(args, cases, lines) -> bool:
-    ds = [1, 2, 3, 4, 5] if args.d is None else [args.d]
-    ok = True
-    for d in ds:
+def _verify_prop_ndp1(args, cases, lines):
+    for d in [1, 2, 3, 4, 5] if args.d is None else [args.d]:
         for s in range(1, d + 1):
             engine = resolution_terms(GrassmannianContext(s, d, d + 1))
-            ok = _tables_equal(
+            _tables_equal(
                 engine, table_w_line(s, d), f"n=d+1 table (s={s}, d={d})", cases, lines
-            ) and ok
-    return ok
+            )
 
 
 def _verify_inductive(d):
-    def run(args, cases, lines) -> bool:
-        ns = [4, 5, 6, 7] if args.n is None else [args.n]
-        ok = True
-        for n in ns:
-            report = conjecture_consistency(d, n)
-            good = report.consistent
-            cases.append({"case": f"d={d}, n={n}", "ok": good})
-            lines.append(f"inductive d={d}, n={n}: {'OK' if good else 'MISMATCH'}")
-            ok = ok and good
-        return ok
+    def run(args, cases, lines):
+        for n in [4, 5, 6, 7] if args.n is None else [args.n]:
+            _case(
+                cases, lines, conjecture_consistency(d, n).consistent, f"d={d}, n={n}",
+                line=f"inductive d={d}, n={n}",
+            )
 
     return run
 
@@ -377,9 +349,10 @@ _VERIFIERS = {
 
 def _cmd_verify(args) -> int:
     cases, lines = [], []
-    ok = _VERIFIERS[args.id](args, cases, lines)
+    _VERIFIERS[args.id](args, cases, lines)
     if not cases:
         raise ValueError(f"verify {args.id} runs no case with --d {args.d} --n {args.n}")
+    ok = all(c["ok"] for c in cases)
     payload = {"id": args.id, "status": "ok" if ok else "mismatch", "cases": cases}
     _emit(payload, args.json, lines + [f"verify {args.id}: {'OK' if ok else 'MISMATCH'}"])
     return OK if ok else MISMATCH

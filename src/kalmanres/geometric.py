@@ -14,13 +14,12 @@ agree exactly; tests enforce this.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .bott import CohomologyResult, GrassmannianContext, cohomology_of_summand
+from .bott import GrassmannianContext, cohomology_of_summand
 from .partitions import Partition, Weight, dual_weight, schur_rank
 from .schur import _lr_product
 from .partitions import partitions_in_box
@@ -161,9 +160,6 @@ class BettiTable:
                 total += mult * self.entry_rank(lam, mu)
         return total
 
-    def is_empty(self) -> bool:
-        return not self._data
-
     def proj_dim(self) -> int:
         if not self._data:
             raise ValueError("empty table")
@@ -181,12 +177,6 @@ class BettiTable:
         out = BettiTable(self.ctx)
         for i, e, lam, mu, mult in self.entries():
             out.add(i, e + k, lam, mu, mult)
-        return out
-
-    def shift_index(self, delta: int) -> "BettiTable":
-        out = BettiTable(self.ctx)
-        for i, e, lam, mu, mult in self.entries():
-            out.add(i + delta, e, lam, mu, mult)
         return out
 
     def restrict_index(self, max_i: int) -> "BettiTable":
@@ -231,9 +221,6 @@ class BettiTable:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BettiTable":
         c = obj["context"]
@@ -247,10 +234,6 @@ class BettiTable:
                 entry["mult"],
             )
         return table
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        return cls.from_json_obj(json.loads(text))
 
     def render(self) -> str:
         header = f"{'i':>3} {'deg':>4}  {'summand':<24} {'mult':>4} {'rank':>8}"
@@ -324,11 +307,6 @@ class HilbertSeries:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def numerator_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero series")
-        return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> int:
         """Coefficient of t^k of the expanded series."""

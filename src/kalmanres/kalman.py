@@ -49,8 +49,8 @@ _MASK64 = (1 << 64) - 1
 def _check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime with 2 <= p < 2^31: int64
     products of two residues and the float64 limb products of _matmul_mod
-    are exact only below 2^31, and pow(x, p - 2, p) inverts x only for
-    prime p."""
+    are exact only below 2^31, and elimination needs every nonzero pivot
+    to have an inverse, which holds only for prime p."""
     if not 2 <= p < 1 << 31 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise ValueError(f"modulus must be a prime p with 2 <= p < 2^31, got {p}")
 
@@ -128,7 +128,7 @@ def _echelon(mat: np.ndarray, p: int):
                 panel[[r, i]] = panel[[i, r]]
                 mult[[r, i]] = mult[[i, r]]
                 e[[r0 + r, r0 + i]] = e[[r0 + i, r0 + r]]
-            inv = pow(int(panel[r, c]), p - 2, p)
+            inv = pow(int(panel[r, c]), -1, p)
             panel[r, c:] = panel[r, c:] * inv % p
             mult[r + 1 :, r] = panel[r + 1 :, c]
             panel[r + 1 :, c:] = (panel[r + 1 :, c:] - mult[r + 1 :, r, None] * panel[r, c:]) % p
@@ -238,11 +238,6 @@ class FpMatrix:
 
     def rank(self) -> int:
         return len(_echelon(self.data, self.p)[1])
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValueError("field mismatch")
-        return FpMatrix(_matmul_mod(self.data, other.data, self.p), self.p)
 
 
 @dataclass(frozen=True)
@@ -374,34 +369,19 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
         return 0
     right = _left_kernel(stack.T, p)[0].T
 
+    # derivative of the stack along each alpha and gamma entry of phi (the
+    # beta and delta entries do not occur in it), one unit matrix per entry,
+    # by d(gamma alpha^j) = d(gamma alpha^{j-1}) alpha + gamma alpha^{j-1} d(alpha)
     w = n - d
-    alpha_pows = [np.eye(d, dtype=np.int64)]
-    for _ in range(d - 1):
-        alpha_pows.append(_matmul_mod(alpha_pows[-1], pt.alpha, p))
-    gamma_pows = [stack[j * w : (j + 1) * w] for j in range(d)]  # gamma*alpha^j
-
-    # derivative of the stack with respect to each alpha and gamma entry of
-    # phi; the beta and delta entries do not occur in the stack
-    dstacks = []
-    for u in range(d):       # alpha variables
-        for v in range(d):
-            ds = np.zeros_like(stack)
-            for j in range(1, d):
-                block = np.zeros((w, d), dtype=np.int64)
-                for m_ in range(j):
-                    col = gamma_pows[m_][:, u][:, None]
-                    row = alpha_pows[j - 1 - m_][v, :][None, :]
-                    block = (block + col * row) % p
-                ds[j * w : (j + 1) * w] = block
-            dstacks.append(ds)
-    for u in range(w):       # gamma variables
-        for v in range(d):
-            ds = np.zeros_like(stack)
-            for j in range(d):
-                ds[j * w + u] = alpha_pows[j][v, :]
-            dstacks.append(ds)
-    jac = _matmul_mod(_matmul_mod(left, np.array(dstacks), p), right, p)
-    return len(_echelon(jac.reshape(len(dstacks), -1).T, p)[1])
+    units = np.eye(d * d + w * d, dtype=np.int64)
+    dalpha = units[:, : d * d].reshape(-1, d, d)
+    dblocks = [units[:, d * d :].reshape(-1, w, d)]  # d(gamma)
+    for j in range(1, d):
+        dblock = _matmul_mod(dblocks[-1], pt.alpha, p)
+        dblock += _matmul_mod(stack[(j - 1) * w : j * w], dalpha, p)
+        dblocks.append(dblock % p)
+    jac = _matmul_mod(_matmul_mod(left, np.concatenate(dblocks, axis=1), p), right, p)
+    return len(_echelon(jac.reshape(len(units), -1).T, p)[1])
 
 
 class BudgetExceededError(Exception):

@@ -111,24 +111,6 @@ def schur_rank(lam: Partition, n: int) -> int:
     return q
 
 
-def weight_rank(w: Weight, n: int) -> int:
-    """Rank of the irreducible with a weakly decreasing integer weight.
-
-    Twisting by a power of the determinant shifts the weight by a constant
-    without changing the rank, so shift to a partition first.
-    """
-    if len(w) > n and any(w[n:]):
-        raise ValueError(f"weight {w} too long for rank {n}")
-    if not is_weakly_decreasing(w):
-        raise ValueError(f"weight must be weakly decreasing: {w}")
-    if not w:
-        return 1
-    c = min(w[-1], 0)
-    if len(w) < n and c < 0:
-        raise ValueError(f"negative weight {w} needs explicit length {n}")
-    return schur_rank(Partition(x - c for x in w), n)
-
-
 @lru_cache(maxsize=None)
 def _partitions_in_box(q: int, rows: int, cols: int) -> tuple:
     if q == 0:

@@ -13,8 +13,7 @@ and the two-stage d = 3 pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bott import GrassmannianContext
 from .geometric import (
@@ -54,20 +53,6 @@ class Cancellation:
             f"{self.mult} x ({self.lam.exponent_string()}; "
             f"{self.mu.exponent_string()}) at (i={self.i}, e={self.e})"
         )
-
-
-def cancellations_to_json_obj(spec: Sequence[Cancellation]) -> list:
-    return [
-        {"i": c.i, "e": c.e, "lambdaL": list(c.lam), "muW": list(c.mu), "mult": c.mult}
-        for c in spec
-    ]
-
-
-def cancellations_from_json_obj(obj: Iterable[dict]) -> list:
-    return [
-        Cancellation(d["i"], d["e"], Partition(d["lambdaL"]), Partition(d["muW"]), d["mult"])
-        for d in obj
-    ]
 
 
 def koszul_table(
@@ -306,15 +291,6 @@ def intermediate_table_d3(n: int) -> BettiTable:
     return mapping_cone(ambient, quotient, d3_stage1_cancellations(n))
 
 
-def intermediate_claims_d3(n: int) -> dict:
-    """Recorded homological metadata for the intermediate d=3 module.
-
-    These values are stored claims, not recomputed from the table; tests
-    compare the cone output against them.
-    """
-    return {"proj_dim": 3 * n - 10, "regularity": 3}
-
-
 def d3_stage2_cancellations(n: int) -> list:
     records = [
         Cancellation(0, 1, (), ()),
@@ -363,18 +339,6 @@ def kalman_equations_d3(n: int) -> list:
 
 
 @dataclass(frozen=True)
-class ExactSequenceSpec:
-    """The conjectured long exact sequence data for fixed d: module s is the
-    normalization for subspace dimension s, twisted by s(s-1)/2."""
-
-    d: int
-    n: int
-
-    def modules(self) -> list:
-        return [(s, s * (s - 1) // 2) for s in range(1, self.d + 1)]
-
-
-@dataclass(frozen=True)
 class ConjectureReport:
     d: int
     n: int
@@ -388,10 +352,12 @@ class ConjectureReport:
 
 
 def predicted_hilbert_series(d: int, n: int) -> HilbertSeries:
-    """Alternating sum of twisted normalization series over s = 1..d."""
+    """Alternating sum over s = 1..d of the conjectured exact sequence's
+    modules: the normalization for subspace dimension s, twisted by
+    s(s-1)/2."""
     total = HilbertSeries((), n * n)
-    for s, twist in ExactSequenceSpec(d, n).modules():
-        term = hilbert_series_normalization(GrassmannianContext(s, d, n)).shift(twist)
+    for s in range(1, d + 1):
+        term = hilbert_series_normalization(GrassmannianContext(s, d, n)).shift(s * (s - 1) // 2)
         total = total + term if s % 2 == 1 else total - term
     return total
 

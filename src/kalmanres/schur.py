@@ -1,5 +1,6 @@
-"""Tensor calculus for Schur functors: Pieri rules, Littlewood-Richardson
-coefficients by tableau enumeration, and Cauchy decompositions.
+"""Tensor calculus for Schur functors: the horizontal Pieri rule,
+Littlewood-Richardson coefficients by tableau enumeration, and the Cauchy
+decomposition of exterior powers.
 
 Products are returned as dicts Partition -> positive multiplicity, with keys
 in lexicographic descending order.
@@ -31,35 +32,6 @@ def pieri_horizontal(mu: Partition, k: int) -> list[Partition]:
         hi = min(hi, lo + remaining)
         for v in range(hi, lo - 1, -1):
             place(i + 1, remaining - (v - lo), prefix + (v,))
-
-    place(0, k, ())
-    return sorted(out, reverse=True)
-
-
-def pieri_vertical(mu: Partition, k: int) -> list[Partition]:
-    """All nu obtained from mu by adding a vertical strip of size k:
-    mu_i <= nu_i <= mu_i + 1 for every i, |nu| = |mu| + k."""
-    mu = Partition(mu)
-    if k < 0:
-        raise ValueError("strip size must be nonnegative")
-    out: list[Partition] = []
-
-    def place(i: int, remaining: int, prefix: tuple) -> None:
-        if remaining == 0 and i >= mu.length():
-            out.append(Partition(prefix))
-            return
-        if i >= mu.length() + k:
-            return
-        base = mu.part(i)
-        for add in (1, 0):
-            if add > remaining:
-                continue
-            v = base + add
-            if v == 0:
-                return  # this row and all below are empty, remaining unfillable
-            if prefix and v > prefix[-1]:
-                continue
-            place(i + 1, remaining - add, prefix + (v,))
 
     place(0, k, ())
     return sorted(out, reverse=True)
@@ -145,8 +117,3 @@ def cauchy_exterior(q: int) -> list[tuple[Partition, Partition]]:
     product of two free modules, each with multiplicity 1."""
     return [(lam, lam.conjugate()) for lam in partitions_of(q)]
 
-
-def cauchy_symmetric(q: int) -> list[tuple[Partition, Partition]]:
-    """Summands (lam, lam) of the degree-q symmetric power of a tensor
-    product of two free modules, each with multiplicity 1."""
-    return [(lam, lam) for lam in partitions_of(q)]

@@ -9,6 +9,8 @@ tautology.
 from functools import lru_cache
 from itertools import combinations
 
+from kalmanres.partitions import Partition, is_weakly_decreasing, schur_rank
+
 
 # -- semistandard tableaux ----------------------------------------------------
 
@@ -207,6 +209,53 @@ def weyl_dimension(weight):
             out *= Fraction(weight[i] - weight[j] + j - i, j - i)
     assert out.denominator == 1
     return int(out)
+
+
+# -- bott oracles ---------------------------------------------------------------
+#
+# Ranks of irreducibles with a dominant weight, and sections by Kempf's
+# vanishing theorem.  Both use the library's Partition type and hook-content
+# rank; the tests compare them with the Bott algorithm and the Weyl product.
+
+
+def weight_rank(w, n):
+    """Rank of the irreducible with a weakly decreasing integer weight.
+
+    Twisting by a power of the determinant shifts the weight by a constant
+    without changing the rank, so shift to a partition first.
+    """
+    if len(w) > n and any(w[n:]):
+        raise ValueError(f"weight {w} too long for rank {n}")
+    if not is_weakly_decreasing(w):
+        raise ValueError(f"weight must be weakly decreasing: {w}")
+    if not w:
+        return 1
+    c = min(w[-1], 0)
+    if len(w) < n and c < 0:
+        raise ValueError(f"negative weight {w} needs explicit length {n}")
+    return schur_rank(Partition(x - c for x in w), n)
+
+
+def kempf_h0(alpha, beta, ctx):
+    """Sections of the dual-side bundle with partition weight alpha on R* and
+    beta on Q*.
+
+    If the concatenation (alpha padded to length s, beta) is a partition,
+    i.e. alpha_s >= beta_1, all sections form the irreducible on the dual of
+    the ambient space labelled by that concatenation, and there is no higher
+    cohomology.  Otherwise the bundle has no sections at all and None is
+    returned.  This statement is characteristic-free; in characteristic zero
+    it must agree with bott() on the dualized weights.
+    """
+    alpha = Partition(alpha)
+    beta = Partition(beta)
+    if alpha.length() > ctx.rank_sub:
+        raise ValueError(f"{alpha!r} exceeds rank {ctx.rank_sub} of the sub-bundle")
+    if beta.length() > ctx.rank_quot:
+        raise ValueError(f"{beta!r} exceeds rank {ctx.rank_quot} of the quotient")
+    if alpha.part(ctx.rank_sub - 1) < beta.part(0):
+        return None
+    return Partition(alpha.pad(ctx.rank_sub) + tuple(beta))
 
 
 # -- Jacobian of the minors over F_p ------------------------------------------

@@ -7,7 +7,6 @@ from kalmanres.bott import (
     GrassmannianContext,
     bott,
     cohomology_of_summand,
-    kempf_h0,
 )
 from kalmanres.geometric import weyl_euler_characteristic
 from kalmanres.partitions import (
@@ -16,9 +15,9 @@ from kalmanres.partitions import (
     is_weakly_decreasing,
     partitions_of,
     schur_rank,
-    weight_rank,
 )
 
+from property_checks import kempf_h0, weight_rank
 
 def decreasing_tuples(length, lo, hi):
     """All weakly decreasing integer tuples of the given length with entries

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from kalmanres import cli
 from kalmanres.bott import GrassmannianContext
 from kalmanres.cli import _VERIFIERS, MISMATCH, OK, REFUSED, USAGE, main
 from kalmanres.geometric import BettiTable, resolution_terms
+from kalmanres.resolutions import table_s1
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -213,6 +215,34 @@ class TestVerify:
         assert main(["verify", "thm-3-3", "--n", "4"]) == OK
         out = capsys.readouterr().out
         assert "verify thm-3-3: OK" in out
+
+    def test_mismatch_names_the_case_and_prints_its_diff(self, capsys, monkeypatch):
+        def perturbed(d, n):
+            table = table_s1(d, n)
+            table.add(0, 0, (), ())  # a second copy of the free summand A
+            return table
+
+        monkeypatch.setattr(cli, "table_s1", perturbed)
+        argv = ["verify", "prop-2-2", "--d", "2", "--n", "5"]
+        assert main(argv + ["--json"]) == MISMATCH
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["status"] == "mismatch"
+        assert payload["cases"] == [
+            {"case": "s=1 table (2,5)", "ok": False},
+            {"case": "s=1 reg/pd (2,5)", "ok": True},
+        ]
+        assert captured.err.splitlines() == [
+            "s=1 table (2,5) diff:",
+            "(i=0, e=0) (Partition([]), Partition([])): 1 vs 2",
+        ]
+        assert main(argv) == MISMATCH
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "s=1 table (2,5): MISMATCH",
+            "s=1 reg/pd (2,5): OK",
+            "verify prop-2-2: MISMATCH",
+        ]
 
 
 # Runs CLI calls in one fresh interpreter: the calls' stdout goes to stdout,

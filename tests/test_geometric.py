@@ -93,9 +93,9 @@ class TestBettiTable:
         t = BettiTable(GrassmannianContext(1, 2, 4))
         t.add_nonzero(0, 0, (1, 1, 1), (1,))  # 3 rows > d = 2: dropped
         t.add_nonzero(0, 0, (1,), (1, 1, 1))  # 3 rows > n-d = 2: dropped
-        assert t.is_empty()
+        assert t == BettiTable(t.ctx)
         t.add_nonzero(0, 0, (1, 1), (1, 1))
-        assert not t.is_empty()
+        assert t != BettiTable(t.ctx)
 
     def test_subtract_and_underflow(self):
         t = self.make()
@@ -129,7 +129,6 @@ class TestBettiTable:
 
     def test_empty_table_errors(self):
         t = BettiTable(GrassmannianContext(1, 2, 4))
-        assert t.is_empty()
         with pytest.raises(ValueError):
             t.proj_dim()
         with pytest.raises(ValueError):
@@ -140,8 +139,6 @@ class TestBettiTable:
         tw = t.twist(3)
         assert tw.multiplicity(1, 5, (1,), (1,)) == 2
         assert t.multiplicity(1, 2, (1,), (1,)) == 2  # original untouched
-        sh = t.shift_index(2)
-        assert sh.multiplicity(3, 2, (1,), (1,)) == 2
         re = t.restrict_index(0)
         assert re.homological_indices() == [0]
 
@@ -157,7 +154,7 @@ class TestBettiTable:
         t = self.make()
         obj = t.to_json_obj()
         assert obj["context"] == {"s": 1, "d": 2, "n": 4}
-        back = BettiTable.from_json(t.to_json())
+        back = BettiTable.from_json_obj(json.loads(json.dumps(obj)))
         assert back == t
         # entries carry rank = mult * dim(lam) * dim(mu)
         by_key = {
@@ -214,11 +211,6 @@ class TestHilbertSeries:
         assert str(HilbertSeries((), 9)) == "0"
         text = str(HilbertSeries((1, -2, 1), 4))
         assert text == "(1 - 2*t^1 + t^2) / (1-t)^4"
-
-    def test_numerator_degree(self):
-        assert HilbertSeries((1, 0, 5), 2).numerator_degree() == 2
-        with pytest.raises(ValueError):
-            HilbertSeries((), 2).numerator_degree()
 
 
 class TestResolutionEngine:

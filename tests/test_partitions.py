@@ -7,9 +7,8 @@ from kalmanres.partitions import (
     partitions_in_box,
     partitions_of,
     schur_rank,
-    weight_rank,
 )
-from property_checks import box_count, ssyt_count, weyl_dimension
+from property_checks import box_count, ssyt_count, weight_rank, weyl_dimension
 
 
 def all_partitions_up_to(total):
