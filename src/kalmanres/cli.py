@@ -334,22 +334,27 @@ def _verify_inductive(d):
     return run
 
 
+# id -> (verifier, the flags among --d/--n that it reads)
 _VERIFIERS = {
-    "prop-2-2": _verify_prop_2_2,
-    "prop-2-4": _verify_prop_2_4,
-    "m2-output": _verify_m2_output,
-    "thm-3-3": _verify_thm_3_3,
-    "thm-3-5": _verify_thm_3_5,
-    "prop-sdm1": _verify_prop_sdm1,
-    "prop-ndp1": _verify_prop_ndp1,
-    "inductive-d2": _verify_inductive(2),
-    "inductive-d3": _verify_inductive(3),
+    "prop-2-2": (_verify_prop_2_2, ("d", "n")),
+    "prop-2-4": (_verify_prop_2_4, ("n",)),
+    "m2-output": (_verify_m2_output, ()),
+    "thm-3-3": (_verify_thm_3_3, ("n",)),
+    "thm-3-5": (_verify_thm_3_5, ("n",)),
+    "prop-sdm1": (_verify_prop_sdm1, ("d", "n")),
+    "prop-ndp1": (_verify_prop_ndp1, ("d",)),
+    "inductive-d2": (_verify_inductive(2), ("n",)),
+    "inductive-d3": (_verify_inductive(3), ("n",)),
 }
 
 
 def _cmd_verify(args) -> int:
+    verifier, flags = _VERIFIERS[args.id]
+    for flag in ("d", "n"):
+        if getattr(args, flag) is not None and flag not in flags:
+            raise ValueError(f"verify {args.id} does not take --{flag}")
     cases, lines = [], []
-    _VERIFIERS[args.id](args, cases, lines)
+    verifier(args, cases, lines)
     if not cases:
         raise ValueError(f"verify {args.id} runs no case with --d {args.d} --n {args.n}")
     ok = all(c["ok"] for c in cases)

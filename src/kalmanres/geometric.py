@@ -20,9 +20,8 @@ from math import comb
 from typing import Iterator, Optional
 
 from .bott import GrassmannianContext, cohomology_of_summand
-from .partitions import Partition, Weight, dual_weight, schur_rank
+from .partitions import Partition, Weight, dual_weight, partitions_in_box, schur_rank
 from .schur import _lr_product
-from .partitions import partitions_in_box
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,8 @@ def xi_exterior_decomposition(ctx: GrassmannianContext, q: int) -> list[XiSumman
     wedge^q splits over the two blocks of xi; each block contributes a
     partition pair (lam, lam') resp. (mu, mu'), and the two R-side factors
     are multiplied by Littlewood-Richardson.  Summands whose R-weight needs
-    more than s rows vanish and are dropped.  The invariant
-    |lambda_r| = |mu_qstar| + |nu_w| holds for every summand.
+    more than s rows vanish, so the product never generates them.  The
+    invariant |lambda_r| = |mu_qstar| + |nu_w| holds for every summand.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -62,12 +61,11 @@ def xi_exterior_decomposition(ctx: GrassmannianContext, q: int) -> list[XiSumman
         if b > s * w:
             continue
         for lam in partitions_in_box(a, s, quot):
+            lam_conj = lam.conjugate()
             for mu in partitions_in_box(b, s, w):
-                for nu, c in _lr_product(lam, mu):
-                    if nu.length() <= s:
-                        out.append(
-                            XiSummand(nu, lam.conjugate(), mu.conjugate(), c)
-                        )
+                mu_conj = mu.conjugate()
+                for nu, c in _lr_product(lam, mu, s):
+                    out.append(XiSummand(nu, lam_conj, mu_conj, c))
     return out
 
 

@@ -2,9 +2,9 @@
 Littlewood-Richardson coefficients by tableau enumeration, and the Cauchy
 decomposition of exterior powers.
 
-Products are returned as dicts Partition -> positive multiplicity, with keys
-in lexicographic descending order.
-"""
+Products map Partition -> positive multiplicity, keys in lexicographic
+descending order.  S_nu of a rank-r bundle is zero beyond r rows, so the
+private product takes that row bound and never generates such nu."""
 
 from __future__ import annotations
 
@@ -92,12 +92,13 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lr_product(lam: Partition, mu: Partition) -> tuple:
+def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
+    """(nu, c^nu_{lam,mu}) with c > 0 for nu of at most `rows` rows, the rank of
+    the bundle receiving the product; len(lam) + len(mu) rows give them all."""
     total = lam.size() + mu.size()
-    rows = lam.length() + mu.length()
     cols = lam.part(0) + mu.part(0)
     out = []
-    for nu in partitions_in_box(total, rows, cols):
+    for nu in partitions_in_box(total, min(rows, lam.length() + mu.length()), cols):
         if not nu.contains(lam):
             continue
         c = lr_coefficient(lam, mu, nu)
@@ -109,7 +110,8 @@ def _lr_product(lam: Partition, mu: Partition) -> tuple:
 def lr_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Decomposition of S_lam . S_mu as {nu: c^nu_{lam,mu}}, keys in
     lexicographic descending order."""
-    return dict(_lr_product(Partition(lam), Partition(mu)))
+    lam, mu = Partition(lam), Partition(mu)
+    return dict(_lr_product(lam, mu, lam.length() + mu.length()))
 
 
 def cauchy_exterior(q: int) -> list[tuple[Partition, Partition]]:

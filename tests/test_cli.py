@@ -60,6 +60,12 @@ class TestExitCodes:
             ["verify", "prop-ndp1", "--d", "-2"],
             ["verify", "inductive-d2", "--n", "0"],
             ["verify", "inductive-d3", "--n", "0"],
+            # a flag the id does not read
+            ["verify", "inductive-d3", "--d", "5", "--n", "5"],
+            ["verify", "m2-output", "--n", "5"],
+            ["verify", "thm-3-3", "--d", "7"],
+            ["verify", "thm-3-5", "--d", "4"],
+            ["verify", "prop-ndp1", "--n", "9"],
         ],
     )
     def test_verify_out_of_range_is_usage(self, capsys, argv):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ from kalmanres.bott import GrassmannianContext
 from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
+    XiSummand,
     cohomology_table,
     hilbert_series,
     hilbert_series_normalization,
@@ -14,7 +16,8 @@ from kalmanres.geometric import (
     weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
-from kalmanres.partitions import Partition, schur_rank
+from kalmanres.partitions import Partition, partitions_in_box, schur_rank
+from kalmanres.schur import lr_product
 
 
 def small_contexts(max_d=4, max_n=9):
@@ -40,6 +43,26 @@ class TestXiDecomposition:
                 assert s.lambda_r.size() == q
                 assert s.lambda_r.length() <= ctx.rank_sub
                 assert s.mult > 0
+
+    def test_matches_unbounded_product_cut_at_s_rows(self):
+        # the construction before the product took its row bound: the whole
+        # public lr_product, then drop every nu with more than s rows
+        def filtered(ctx, q):
+            s, quot, w = ctx.rank_sub, ctx.rank_quot, ctx.dim_w
+            for a in range(q + 1):
+                for lam in partitions_in_box(a, s, quot):
+                    for mu in partitions_in_box(q - a, s, w):
+                        for nu, c in lr_product(lam, mu).items():
+                            if nu.length() <= s:
+                                yield XiSummand(nu, lam.conjugate(), mu.conjugate(), c)
+
+        for n in range(2, 7):
+            for d in range(1, n):
+                for s in range(1, d + 1):
+                    ctx = GrassmannianContext(s, d, n)
+                    for q in range(ctx.xi_rank + 1):
+                        got = Counter(xi_exterior_decomposition(ctx, q))
+                        assert got == Counter(filtered(ctx, q)), (ctx, q)
 
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):

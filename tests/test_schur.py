@@ -1,7 +1,14 @@
+from functools import lru_cache
 from math import comb
 
 from kalmanres.partitions import Partition, partitions_of, schur_rank
-from kalmanres.schur import cauchy_exterior, lr_coefficient, lr_product, pieri_horizontal
+from kalmanres.schur import (
+    _lr_product,
+    cauchy_exterior,
+    lr_coefficient,
+    lr_product,
+    pieri_horizontal,
+)
 from property_checks import horizontal_strips, schur_product_expansion, vertical_strips
 
 
@@ -112,6 +119,21 @@ class TestLittlewoodRichardson:
                 for n in range(6):
                     lhs = sum(c * schur_rank(nu, n) for nu, c in prod.items())
                     assert lhs == schur_rank(lam, n) * schur_rank(mu, n)
+
+    def test_row_bound_is_exact(self):
+        # _lr_product(lam, mu, r) is the monomial-peeling expansion cut at r
+        # rows, in lexicographic descending order, for |lam|, |mu| <= 4;
+        # s_lam s_mu = s_mu s_lam, so each unordered pair is expanded once
+        expand = lru_cache(maxsize=None)(schur_product_expansion)
+        for lam in all_partitions_up_to(4):
+            for mu in all_partitions_up_to(4):
+                full = expand(*sorted((tuple(lam), tuple(mu))))
+                for r in range(1, lam.length() + mu.length() + 1):
+                    expected = sorted(
+                        ((nu, c) for nu, c in full.items() if len(nu) <= r), reverse=True
+                    )
+                    got = [(tuple(nu), c) for nu, c in _lr_product(lam, mu, r)]
+                    assert got == expected, (lam, mu, r)
 
     def test_product_keys_sorted(self):
         out = lr_product(Partition((2, 1)), Partition((2, 1)))
