@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 # A Weight is a plain tuple of ints with significant length (trailing zeros
@@ -13,13 +14,17 @@ class Partition(tuple):
     """Weakly decreasing tuple of nonnegative ints, trailing zeros stripped.
 
     Immutable and hashable; compares and sorts like a plain tuple, so
-    sorted(..., reverse=True) gives lexicographic descending order.
+    sorted(..., reverse=True) gives lexicographic descending order.  Parts
+    must be integers (operator.index): floats and strings raise TypeError.
+    A Partition passed in is returned as it is, having been checked once.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        parts = tuple(int(p) for p in parts)
+        if type(parts) is Partition:
+            return parts
+        parts = tuple(map(operator.index, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):
@@ -54,7 +59,7 @@ class Partition(tuple):
 
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams: other fits inside self."""
-        return all(self.part(i) >= other.part(i) for i in range(len(other)))
+        return len(other) <= len(self) and all(a >= b for a, b in zip(self, other))
 
     def exponent_string(self) -> str:
         """Compact human form, e.g. (2,1,1) -> "2,1^2"; empty -> "0"."""

@@ -4,11 +4,19 @@ decomposition of exterior powers.
 
 Products map Partition -> positive multiplicity, keys in lexicographic
 descending order.  S_nu of a rank-r bundle is zero beyond r rows, so the
-private product takes that row bound and never generates such nu."""
+private product takes that row bound and never generates such nu.
+
+Row r (from 0) of an LR tableau holds only the values 1..r+1: its rightmost
+entry v is read before the rest of the row, so the lattice condition needs
+a v - 1 in the rows above, and those hold at most r by induction.  Hence
+rows 0..r of nu/lam have at most mu_1 + ... + mu_{r+1} cells whenever
+c^nu_{lam,mu} > 0.  The product skips every other nu before counting, and
+the count caps each row's values by the same fact."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 
 from .partitions import Partition, partitions_in_box, partitions_of
 
@@ -43,67 +51,94 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Counts column-strict skew tableaux of shape nu/lam and content mu whose
     reverse reading word (right to left along rows, top row first) is a
-    lattice word.  Cells are filled in reverse reading order so the lattice
-    condition prunes as we go.
+    lattice word.  The |mu| cells are numbered in reverse reading order and
+    filled in that order, so the lattice condition prunes as we go.  A
+    cell's right neighbour and the cell above it come earlier in that order:
+    two index lists, built once, point at them in the flat list of values.
+    A cell's values run from one more than the value above it to the value
+    on its right; the last cell of row r has r + 1 (capped at len(mu)) on
+    its right, since an LR tableau has nothing larger in row r.  The search
+    walks the cells with an explicit index instead of recursion.
     """
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if nu.size() != lam.size() + mu.size():
+    if sum(nu) != sum(lam) + sum(mu) or len(lam) > len(nu) or len(mu) > len(nu):
         return 0
-    if not nu.contains(lam) or not nu.contains(mu):
+    if not all(map(ge, nu, lam)) or not all(map(ge, nu, mu)):
         return 0
-    values = mu.length()
-    # cells in reverse reading order
-    cells = [
-        (r, c)
-        for r in range(nu.length())
-        for c in range(nu[r] - 1, lam.part(r) - 1, -1)
-    ]
+    cells = sum(mu)
     if not cells:
         return 1
-    grid: dict[tuple[int, int], int] = {}
-    counts = [0] * (values + 1)  # counts[v] = occurrences of v so far
+    # values[:cells] is the filling; values[cells] = 0 stands above row 0
+    # and values[cells + 1 + r] = min(r + 1, len(mu)) right of row r
+    values = [0] * (cells + 1) + [min(r + 1, len(mu)) for r in range(len(nu))]
+    right: list[int] = []
+    above: list[int] = []
+    row_end = 0  # cell (r - 1, c) has index row_end - 1 - c
+    prev_lam = nu[0]  # no cell stands above row 0
+    for r, width in enumerate(nu):
+        first = lam[r] if r < len(lam) else 0
+        nxt = cells + 1 + r
+        for c in range(width - 1, first - 1, -1):
+            right.append(nxt)
+            nxt = len(above)
+            above.append(row_end - 1 - c if c >= prev_lam else cells)
+        row_end = len(above) + first
+        prev_lam = first
+    counts = [cells + 1] + [0] * len(mu)  # counts[v] = occurrences of v so far
+    limit = (0,) + mu
     total = 0
-
-    def fill(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        right = grid.get((r, c + 1))
-        above = grid.get((r - 1, c))
-        for v in range(1, values + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue  # lattice word violated
-            if right is not None and v > right:
-                continue  # rows weakly increase left to right
-            if above is not None and v <= above:
-                continue  # columns strictly increase
-            grid[(r, c)] = v
-            counts[v] += 1
-            fill(idx + 1)
+    i = v = 0  # v: the value last tried at cell i
+    while True:
+        v += 1
+        if v > values[right[i]]:
+            i -= 1  # cell i is exhausted: back to the previous cell
+            if i < 0:
+                return total
+            v = values[i]
             counts[v] -= 1
-            del grid[(r, c)]
-
-    fill(0)
-    return total
+            continue
+        k = counts[v]
+        # content mu, and the word stays lattice: more v - 1 than v so far
+        if k < limit[v] and counts[v - 1] > k:
+            if i + 1 == cells:
+                total += 1
+                continue
+            values[i] = v
+            counts[v] = k + 1
+            i += 1
+            v = values[above[i]]
 
 
 @lru_cache(maxsize=None)
 def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
     """(nu, c^nu_{lam,mu}) with c > 0 for nu of at most `rows` rows, the rank of
-    the bundle receiving the product; len(lam) + len(mu) rows give them all."""
-    total = lam.size() + mu.size()
-    cols = lam.part(0) + mu.part(0)
+    the bundle receiving the product; len(lam) + len(mu) rows give them all.
+
+    nu is scanned in lexicographic descending order, and lr_coefficient is
+    asked only about nu that contain lam and pass the content-prefix bound:
+    rows 0..r of nu/lam have at most mu_1 + ... + mu_{r+1} cells, because
+    each row's largest value v needs a v - 1 in the rows above it (the
+    lattice condition), so row r holds only the values 1..r+1."""
+    rows = min(rows, len(lam) + len(mu))
+    lam_rows = tuple(lam) + (0,) * (rows - len(lam))
+    bound = []
+    room = 0
+    for r in range(rows):
+        room += mu[r] if r < len(mu) else 0
+        bound.append(room)
     out = []
-    for nu in partitions_in_box(total, min(rows, lam.length() + mu.length()), cols):
-        if not nu.contains(lam):
+    for nu in partitions_in_box(sum(lam) + sum(mu), rows, lam.part(0) + mu.part(0)):
+        if len(nu) < len(lam):
             continue
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out.append((nu, c))
+        skew = 0
+        for width, first, most in zip(nu, lam_rows, bound):
+            skew += width - first
+            if width < first or skew > most:
+                break
+        else:
+            c = lr_coefficient(lam, mu, nu)
+            if c:
+                out.append((nu, c))
     return tuple(out)
 
 

@@ -3,7 +3,9 @@
 Everything here is written from textbook definitions on purpose, avoiding
 the library's own algorithms (hooks, Pieri recursions, tableau backtracking),
 so that agreement between the two is meaningful evidence rather than a
-tautology.
+tautology.  The one exception is lr_coefficient_cells, the library's former
+cell-by-cell LR backtracker, kept as written: it shares no code with the
+flat kernel that replaced it and checks it on every small triple.
 """
 
 from functools import lru_cache
@@ -191,6 +193,63 @@ def schur_product_expansion(lam, mu):
         for k, v in schur_monomials(nu, nvars).items():
             poly[k] = poly.get(k, 0) - coeff * v
     return result
+
+
+# -- LR coefficients by cell-by-cell backtracking -----------------------------
+
+
+@lru_cache(maxsize=None)
+def lr_coefficient_cells(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Littlewood-Richardson coefficient c^nu_{lam,mu}.
+
+    Counts column-strict skew tableaux of shape nu/lam and content mu whose
+    reverse reading word (right to left along rows, top row first) is a
+    lattice word.  Cells are filled in reverse reading order so the lattice
+    condition prunes as we go.
+    """
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if nu.size() != lam.size() + mu.size():
+        return 0
+    if not nu.contains(lam) or not nu.contains(mu):
+        return 0
+    values = mu.length()
+    # cells in reverse reading order
+    cells = [
+        (r, c)
+        for r in range(nu.length())
+        for c in range(nu[r] - 1, lam.part(r) - 1, -1)
+    ]
+    if not cells:
+        return 1
+    grid: dict[tuple[int, int], int] = {}
+    counts = [0] * (values + 1)  # counts[v] = occurrences of v so far
+    total = 0
+
+    def fill(idx: int) -> None:
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        right = grid.get((r, c + 1))
+        above = grid.get((r - 1, c))
+        for v in range(1, values + 1):
+            if counts[v] >= mu[v - 1]:
+                continue
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue  # lattice word violated
+            if right is not None and v > right:
+                continue  # rows weakly increase left to right
+            if above is not None and v <= above:
+                continue  # columns strictly increase
+            grid[(r, c)] = v
+            counts[v] += 1
+            fill(idx + 1)
+            counts[v] -= 1
+            del grid[(r, c)]
+
+    fill(0)
+    return total
 
 
 # -- misc ---------------------------------------------------------------------

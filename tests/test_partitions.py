@@ -8,6 +8,7 @@ from kalmanres.partitions import (
     partitions_of,
     schur_rank,
 )
+from kalmanres.schur import lr_coefficient
 from property_checks import box_count, ssyt_count, weight_rank, weyl_dimension
 
 
@@ -27,6 +28,32 @@ class TestPartitionType:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, -1))
+        with pytest.raises(ValueError):
+            Partition([1, 2])
+        with pytest.raises(ValueError):
+            Partition([2, -1])
+
+    def test_rejects_parts_that_are_not_integers(self):
+        # parts used to be truncated by int(): [2.7, 1] and "21" became (2, 1)
+        with pytest.raises(TypeError):
+            Partition([2.7, 1])
+        with pytest.raises(TypeError):
+            Partition("21")
+        with pytest.raises(TypeError):
+            schur_rank([2.5], 3)
+        with pytest.raises(TypeError):
+            lr_coefficient((1.5,), (1,), (2,))
+
+    def test_accepts_python_and_numpy_integers(self):
+        import numpy as np
+
+        assert Partition([np.int64(2), np.int32(1), 0]) == (2, 1)
+        assert type(Partition([np.int64(2)])[0]) is int
+        assert Partition([True]) == (1,)
+
+    def test_partition_argument_is_returned_unchanged(self):
+        lam = Partition((3, 1))
+        assert Partition(lam) is lam
 
     def test_basic_accessors(self):
         lam = Partition((4, 2, 1))
@@ -45,6 +72,8 @@ class TestPartitionType:
     def test_contains(self):
         assert Partition((3, 2)).contains(Partition((2, 2)))
         assert not Partition((3, 2)).contains(Partition((2, 2, 1)))
+        assert not Partition((3, 2)).contains(Partition((4,)))
+        assert Partition((3, 2)).contains(Partition(()))
         assert Partition(()).contains(Partition(()))
 
     def test_conjugate_frozen_examples(self):
