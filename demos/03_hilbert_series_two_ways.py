@@ -1,11 +1,15 @@
 """
-One series, two unrelated computations
-======================================
+One series, two computations
+============================
 
 The Hilbert series of the normalization can be read off the Betti table
 (alternating sum of ranks) or assembled directly from Euler
 characteristics on the Grassmannian, skipping the Betti table entirely.
-The two routes share no code path, so agreement is a real check.
+Both routes start from the same Cauchy and Littlewood-Richardson
+decomposition of the exterior powers of the bundle, so they do not check
+that step.  After it they part: the table route runs Bott's algorithm and
+hook-content ranks, the Euler route only the Weyl dimension product.
+Agreement checks everything downstream of the shared decomposition.
 """
 
 from kalmanres import (

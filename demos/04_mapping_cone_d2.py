@@ -26,8 +26,8 @@ ambient = resolution_terms(GrassmannianContext(1, 2, n))
 quotient = koszul_table([((), (), 1)], GrassmannianContext(2, 2, n))
 
 print("cancellation spec (one matched pair per line):")
-for c in d2_cancellations(n):
-    print("  " + c.describe())
+for i, e, lam, mu, mult in d2_cancellations(n).entries():
+    print(f"  {mult} x ({lam.exponent_string()}; {mu.exponent_string()}) at (i={i}, e={e})")
 
 cone = mapping_cone(ambient, quotient, d2_cancellations(n))
 print()

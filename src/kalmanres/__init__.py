@@ -43,7 +43,6 @@ from .partitions import (
     schur_rank,
 )
 from .resolutions import (
-    Cancellation,
     CancellationError,
     ConjectureReport,
     cone_table_d2,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BettiTable",
     "BudgetExceededError",
-    "Cancellation",
     "CancellationError",
     "CohomologyResult",
     "ConjectureReport",

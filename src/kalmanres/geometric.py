@@ -84,21 +84,30 @@ def cohomology_table(
     return table
 
 
+def _entry_order(keys) -> list:
+    """Keys (i, e, lam, mu): (i, e) ascending, then (lam, mu) descending."""
+    return sorted(sorted(keys, reverse=True), key=lambda key: key[:2])
+
+
 class BettiTable:
-    """Graded equivariant Betti numbers: multiset of (L-partition,
-    W-partition) pairs at each (homological index i, internal degree e)."""
+    """Graded equivariant Betti numbers: a multiset of entries (homological
+    index i, internal degree e, L-partition, W-partition)."""
 
     def __init__(self, ctx: GrassmannianContext):
         self.ctx = ctx
-        self._data: dict[tuple[int, int], Counter] = {}
+        self._data: Counter = Counter()
+
+    def _with(self, data: Counter) -> "BettiTable":
+        out = BettiTable(self.ctx)
+        out._data = data
+        return out
 
     # -- construction ------------------------------------------------------
 
     def add(self, i: int, e: int, lam: Partition, mu: Partition, mult: int = 1) -> None:
         if mult <= 0:
             raise ValueError("multiplicity must be positive")
-        key = (i, e)
-        self._data.setdefault(key, Counter())[(Partition(lam), Partition(mu))] += mult
+        self._data[(i, e, Partition(lam), Partition(mu))] += mult
 
     def add_nonzero(self, i: int, e: int, lam, mu, mult: int = 1) -> None:
         """add(), but silently drop summands of rank zero (too many rows for
@@ -108,98 +117,88 @@ class BettiTable:
             self.add(i, e, lam, mu, mult)
 
     def subtract(self, i: int, e: int, lam: Partition, mu: Partition, mult: int = 1) -> None:
-        key = (i, e)
         pair = (Partition(lam), Partition(mu))
-        have = self._data.get(key, Counter())[pair]
+        key = (i, e) + pair
+        have = self._data[key]
         if have < mult:
             raise ValueError(
                 f"cannot remove {mult} x {pair} at (i={i}, e={e}); have {have}"
             )
-        self._data[key][pair] -= mult
-        if self._data[key][pair] == 0:
-            del self._data[key][pair]
-        if not self._data[key]:
+        self._data[key] -= mult
+        if self._data[key] == 0:
             del self._data[key]
 
     def copy(self) -> "BettiTable":
-        out = BettiTable(self.ctx)
-        out._data = {k: Counter(v) for k, v in self._data.items()}
-        return out
+        return self._with(Counter(self._data))
 
     # -- queries -----------------------------------------------------------
 
+    def __len__(self) -> int:
+        """Number of distinct entries, not the sum of their multiplicities."""
+        return len(self._data)
+
     def entries(self) -> Iterator[tuple[int, int, Partition, Partition, int]]:
-        """All entries (i, e, lam_L, mu_W, mult), deterministically sorted."""
-        for (i, e) in sorted(self._data):
-            for (lam, mu) in sorted(self._data[(i, e)], reverse=True):
-                yield i, e, lam, mu, self._data[(i, e)][(lam, mu)]
+        """All entries (i, e, lam_L, mu_W, mult): (i, e) ascending, then
+        (lam_L, mu_W) descending."""
+        return (key + (self._data[key],) for key in _entry_order(self._data))
 
     def multiplicity(self, i: int, e: int, lam, mu) -> int:
-        return self._data.get((i, e), Counter())[(Partition(lam), Partition(mu))]
+        return self._data[(i, e, Partition(lam), Partition(mu))]
 
     def counter(self, i: int, e: int) -> Counter:
-        return Counter(self._data.get((i, e), Counter()))
+        return Counter({key[2:]: m for key, m in self._data.items() if key[:2] == (i, e)})
 
     def homological_indices(self) -> list[int]:
-        return sorted({i for (i, _) in self._data})
+        return sorted({key[0] for key in self._data})
 
     def degrees(self, i: int) -> list[int]:
-        return sorted({e for (j, e) in self._data if j == i})
+        return sorted({key[1] for key in self._data if key[0] == i})
 
     def entry_rank(self, lam: Partition, mu: Partition) -> int:
         return schur_rank(lam, self.ctx.d) * schur_rank(mu, self.ctx.dim_w)
 
     def rank(self, i: int, e: Optional[int] = None) -> int:
-        total = 0
-        for (j, ee), counter in self._data.items():
-            if j != i or (e is not None and ee != e):
-                continue
-            for (lam, mu), mult in counter.items():
-                total += mult * self.entry_rank(lam, mu)
-        return total
+        return sum(
+            mult * self.entry_rank(lam, mu)
+            for (j, ee, lam, mu), mult in self._data.items()
+            if j == i and (e is None or ee == e)
+        )
 
     def proj_dim(self) -> int:
         if not self._data:
             raise ValueError("empty table")
-        return max(i for (i, _) in self._data)
+        return max(key[0] for key in self._data)
 
     def regularity(self) -> int:
         if not self._data:
             raise ValueError("empty table")
-        return max(e - i for (i, e) in self._data)
+        return max(key[1] - key[0] for key in self._data)
 
     # -- transforms ----------------------------------------------------------
 
     def twist(self, k: int) -> "BettiTable":
         """Shift every internal degree by k (tensoring with A(-k))."""
-        out = BettiTable(self.ctx)
-        for i, e, lam, mu, mult in self.entries():
-            out.add(i, e + k, lam, mu, mult)
-        return out
+        return self._with(
+            Counter({(i, e + k, lam, mu): m for (i, e, lam, mu), m in self._data.items()})
+        )
 
     def restrict_index(self, max_i: int) -> "BettiTable":
-        out = BettiTable(self.ctx)
-        for i, e, lam, mu, mult in self.entries():
-            if i <= max_i:
-                out.add(i, e, lam, mu, mult)
-        return out
+        return self._with(Counter({key: m for key, m in self._data.items() if key[0] <= max_i}))
 
     # -- comparison / io -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BettiTable):
             return NotImplemented
-        return self._data == other._data
+        return (self.ctx.d, self.ctx.n, self._data) == (other.ctx.d, other.ctx.n, other._data)
 
     def diff(self, other: "BettiTable") -> str:
         """Human-readable multiset difference, for test failure messages."""
-        lines = []
-        keys = sorted(set(self._data) | set(other._data))
-        for key in keys:
-            a, b = self.counter(*key), other.counter(*key)
-            for pair in sorted(set(a) | set(b), reverse=True):
-                if a[pair] != b[pair]:
-                    lines.append(f"(i={key[0]}, e={key[1]}) {pair}: {a[pair]} vs {b[pair]}")
+        lines = [
+            f"(i={key[0]}, e={key[1]}) {key[2:]}: {self._data[key]} vs {other._data[key]}"
+            for key in _entry_order(set(self._data) | set(other._data))
+            if self._data[key] != other._data[key]
+        ]
         return "\n".join(lines) or "(equal)"
 
     def to_json_obj(self) -> dict:
@@ -218,20 +217,6 @@ class BettiTable:
                 for i, e, lam, mu, mult in self.entries()
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BettiTable":
-        c = obj["context"]
-        table = cls(GrassmannianContext(c["s"], c["d"], c["n"]))
-        for entry in obj["entries"]:
-            table.add(
-                entry["i"],
-                entry["degree"],
-                Partition(entry["lambdaL"]),
-                Partition(entry["muW"]),
-                entry["mult"],
-            )
-        return table
 
     def render(self) -> str:
         header = f"{'i':>3} {'deg':>4}  {'summand':<24} {'mult':>4} {'rank':>8}"
@@ -375,8 +360,8 @@ def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     """Hilbert series of the normalization, computed directly as
     sum_q (-t)^q chi(wedge^q xi) with chi through the Weyl dimension product.
 
-    Independent route from hilbert_series(resolution_terms(ctx)); the two
-    must agree exactly.
+    Shares only the Cauchy + LR sweep with hilbert_series(resolution_terms(ctx))
+    (no Bott, no hook-content ranks); the two must agree exactly.
     """
     coeffs = [0] * (ctx.xi_rank + 1)
     for q in range(ctx.xi_rank + 1):

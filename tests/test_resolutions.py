@@ -12,7 +12,6 @@ from kalmanres.geometric import (
 )
 from kalmanres.partitions import Partition
 from kalmanres.resolutions import (
-    Cancellation,
     CancellationError,
     ConjectureReport,
     cone_table_d2,
@@ -35,18 +34,10 @@ from kalmanres.resolutions import (
 
 
 class TestCancellationSpec:
-    def test_coercion_and_describe(self):
-        c = Cancellation(2, 4, (2,), (1, 1))
-        assert isinstance(c.lam, Partition) and isinstance(c.mu, Partition)
-        assert c.mult == 1
-        assert c.describe() == "1 x (2; 1^2) at (i=2, e=4)"
-        with pytest.raises(ValueError):
-            Cancellation(0, 0, (), (), 0)
-
     def test_d2_spec_content(self):
-        spec = d2_cancellations(5)
-        assert [(c.i, c.e) for c in spec] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert spec[3].lam == (3,) and spec[3].mu == (1, 1, 1)
+        spec = list(d2_cancellations(5).entries())
+        assert [(i, e) for i, e, _, _, _ in spec] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert spec[3][2] == (3,) and spec[3][3] == (1, 1, 1)
 
     def test_d3_specs_prune_with_n(self):
         # at n=4 the complement space is a line; multi-row W-labels drop out
@@ -54,7 +45,7 @@ class TestCancellationSpec:
         small = d3_stage1_cancellations(4)
         assert len(full) == 6
         assert len(small) < len(full)
-        assert all(c.mu.length() <= 1 for c in small)
+        assert all(mu.length() <= 1 for _, _, _, mu, _ in small.entries())
         assert len(d3_stage2_cancellations(8)) == 6
 
 
@@ -101,9 +92,15 @@ class TestMappingCone:
         quotient.add(1, 2, (1,), (1,))
         return ambient, quotient
 
+    def matched(self, *entries):
+        spec = BettiTable(GrassmannianContext(1, 2, 4))
+        for entry in entries:
+            spec.add(*entry)
+        return spec
+
     def test_empty_spec_shifts_quotient(self):
         ambient, quotient = self.toy_tables()
-        out = mapping_cone(ambient, quotient, [])
+        out = mapping_cone(ambient, quotient, self.matched())
         assert out.multiplicity(-1, 1, (), ()) == 1  # quotient_0 leftover
         assert out.multiplicity(0, 2, (1,), (1,)) == 1
         assert out.multiplicity(0, 0, (), ()) == 1
@@ -111,7 +108,7 @@ class TestMappingCone:
 
     def test_cancellation_removes_from_both(self):
         ambient, quotient = self.toy_tables()
-        out = mapping_cone(ambient, quotient, [Cancellation(0, 1, (), ())])
+        out = mapping_cone(ambient, quotient, self.matched((0, 1, (), ())))
         assert out.multiplicity(-1, 1, (), ()) == 0
         assert out.multiplicity(0, 1, (), ()) == 0
         assert out.multiplicity(0, 0, (), ()) == 1
@@ -119,21 +116,49 @@ class TestMappingCone:
     def test_missing_pair_is_an_error(self):
         ambient, quotient = self.toy_tables()
         with pytest.raises(CancellationError, match="quotient table has 0"):
-            mapping_cone(ambient, quotient, [Cancellation(1, 2, (1, 1), (1, 1))])
+            mapping_cone(ambient, quotient, self.matched((1, 2, (1, 1), (1, 1))))
         with pytest.raises(CancellationError, match="ambient table has 0"):
-            mapping_cone(ambient, quotient, [Cancellation(1, 2, (1,), (1,))])
+            mapping_cone(ambient, quotient, self.matched((1, 2, (1,), (1,))))
+
+    def test_matched_multiplicity_two(self):
+        ambient, quotient = self.toy_tables()
+        ambient.add(1, 2, (1,), (1,), 2)
+        quotient.add(1, 2, (1,), (1,), 2)
+        out = mapping_cone(ambient, quotient, self.matched((1, 2, (1,), (1,), 2)))
+        assert out.multiplicity(1, 2, (1,), (1,)) == 0
+        assert out.multiplicity(0, 2, (1,), (1,)) == 1  # the third quotient copy
+        assert out.multiplicity(1, 2, (1, 1), (1, 1)) == 1
+        # the inputs are left as they were
+        assert ambient.multiplicity(1, 2, (1,), (1,)) == 2
+        assert quotient.multiplicity(1, 2, (1,), (1,)) == 3
+
+    def test_error_text_names_the_short_table(self):
+        ambient, quotient = self.toy_tables()
+        spec = self.matched((1, 2, (1,), (1,), 2))
+        ambient.add(1, 2, (1,), (1,))
+        with pytest.raises(CancellationError) as err:
+            mapping_cone(ambient, quotient, spec)
+        assert str(err.value) == (
+            "cannot cancel 2 x (1; 1) at (i=1, e=2): ambient table has 1"
+        )
+        ambient.add(1, 2, (1,), (1,))
+        with pytest.raises(CancellationError) as err:
+            mapping_cone(ambient, quotient, spec)
+        assert str(err.value) == (
+            "cannot cancel 2 x (1; 1) at (i=1, e=2): quotient table has 1"
+        )
 
     def test_ring_mismatch_rejected(self):
         ambient, _ = self.toy_tables()
         other = BettiTable(GrassmannianContext(1, 2, 5))
         other.add(0, 0, (), ())
         with pytest.raises(ValueError):
-            mapping_cone(ambient, other, [])
+            mapping_cone(ambient, other, self.matched())
 
     def test_hilbert_series_identity_toy(self):
         # spec property: HS(cone) = HS(ambient) - HS(quotient), empty spec
         ambient, quotient = self.toy_tables()
-        for spec in ([], [Cancellation(0, 1, (), ())]):
+        for spec in (self.matched(), self.matched((0, 1, (), ()))):
             out = mapping_cone(ambient, quotient, spec)
             # index -1 entries flip sign; hilbert_series handles any index
             assert hilbert_series(out) == (
