@@ -42,6 +42,7 @@ from .resolutions import (
 )
 
 OK, MISMATCH, USAGE, REFUSED = 0, 1, 2, 3
+TRIAL_CHUNK = 64  # trials kalman-test samples and tests at once; bounds its memory
 
 
 def _emit(payload: dict, as_json: bool, human_lines) -> None:
@@ -152,16 +153,13 @@ def _cmd_kalman_test(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     k = args.d - args.s + 1
-    sound = 0
-    for t in range(args.trials):
-        pt = sample_member(args.s, args.d, args.n, args.seed + t)
-        if minors_vanish(reduced_kalman_matrix(pt), k):
-            sound += 1
-    generic_nonzero = 0
-    for t in range(args.trials):
-        pt = sample_generic(args.d, args.n, args.seed + 10_000_019 + t)
-        if not minors_vanish(reduced_kalman_matrix(pt), k):
-            generic_nonzero += 1
+    sound = generic_nonzero = 0
+    for start in range(0, args.trials, TRIAL_CHUNK):
+        seeds = range(args.seed + start, args.seed + min(start + TRIAL_CHUNK, args.trials))
+        members = sample_member(args.s, args.d, args.n, seeds)
+        sound += int(minors_vanish(reduced_kalman_matrix(members), k).sum())
+        generic = sample_generic(args.d, args.n, [t + 10_000_019 for t in seeds])
+        generic_nonzero += int((~minors_vanish(reduced_kalman_matrix(generic), k)).sum())
     ok = sound == args.trials and generic_nonzero >= 0.99 * args.trials
     payload = {
         "s": args.s,

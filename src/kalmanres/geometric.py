@@ -60,10 +60,10 @@ def xi_exterior_decomposition(ctx: GrassmannianContext, q: int) -> list[XiSumman
         b = q - a
         if b > s * w:
             continue
+        mus = [(mu, mu.conjugate()) for mu in partitions_in_box(b, s, w)]
         for lam in partitions_in_box(a, s, quot):
             lam_conj = lam.conjugate()
-            for mu in partitions_in_box(b, s, w):
-                mu_conj = mu.conjugate()
+            for mu, mu_conj in mus:
                 for nu, c in _lr_product(lam, mu, s):
                     out.append(XiSummand(nu, lam_conj, mu_conj, c))
     return out

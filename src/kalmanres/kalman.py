@@ -7,14 +7,14 @@ variety, sample points on and off it, measure the Jacobian rank of the
 minors, and estimate the minor ideal's Hilbert function by evaluation,
 one rank per weight of the diagonal torus.
 
-All elimination over F_p (rank, inverse, kernels) goes through _echelon.
-It is blocked: columns are eliminated in panels of BLOCK = 64 by the plain
-pivot-by-pivot loop, and the row operations of a panel reach the columns to
-its right as one modular matrix product (a trailing update).  Products mod p
-run on float64 BLAS: the left operand is split into 16-bit limbs, so a GEMM
-over at most 64 terms sums integers below 2^47 each and every partial sum
-stays below 2^53, where float64 is exact.  This needs p < 2^31, which every
-entry point checks.
+Elimination over F_p has two kernels, and the input's shape selects one: a
+single matrix goes through the blocked _echelon (panels of BLOCK = 64
+columns, each reaching the columns to its right as one modular matrix
+product), a stack (..., r, c) of small matrices through _gauss_jordan, one
+unblocked loop over the columns for the whole stack.  Products mod p run on
+float64 BLAS: the left operand is split into 16-bit limbs, so a GEMM over at
+most 64 terms sums integers below 2^47 and every partial sum stays below
+2^53, where float64 is exact; every entry point checks that p < 2^31.
 The Jacobian of the k-minors is never formed: at a member the stack M has
 rank <= k-1; if rank M = k-1 its rank is that of the rows u_a (dM/dphi) v_b
 over kernel bases u_a M = 0 = M v_b, and if rank M < k-1 it is 0.
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, isqrt
+from math import comb, isqrt, prod
 
 P_DEFAULT = (1 << 31) - 1  # Mersenne prime; every modulus must be a prime below 2^31
 
@@ -43,6 +43,7 @@ BLOCK = 64
 CHUNK = 256  # rows per trailing update, which bounds its float64 temporaries
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
 @lru_cache(maxsize=None)
@@ -56,38 +57,44 @@ def _check_modulus(p: int) -> None:
 
 
 class SplitMix64:
-    """SplitMix64 sequence generator.
+    """SplitMix64 streams, one per seed of an int or a sequence of seeds.
 
-    state_{k+1} = state_k + 0x9E3779B97F4A7C15 (mod 2^64); each output mixes
-    the new state with the xor-shift-multiply chain (30/0xBF58476D1CE4E5B9,
-    27/0x94D049BB133111EB, 31).  Field elements are taken as next() mod p;
-    for p near 2^31 the modulo bias is below 2^-32 per draw, far under the
-    Schwartz-Zippel error terms quoted in the tests.
-    """
+    The state steps by G = 0x9E3779B97F4A7C15 mod 2^64 and each output mixes
+    the new state (xor-shift-multiply 30/0xBF58476D1CE4E5B9,
+    27/0x94D049BB133111EB, 31), so output j >= 1 of seed sigma is
+    mix(sigma + j G mod 2^64): one uint64 expression gives every draw of
+    every stream.  Field elements are outputs mod p; for p near 2^31 the
+    bias is below 2^-32 per draw, far under the tests' Schwartz-Zippel terms."""
 
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
+    def __init__(self, seed):
+        import numpy as np
+        seeds = np.array(seed, dtype=object)
+        self.shape = seeds.shape  # () for an int seed
+        self.state = np.array([int(x) & _MASK64 for x in seeds.flat], dtype=np.uint64)
+
+    def _next(self, count: int) -> np.ndarray:
+        import numpy as np
+        z = self.state[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self.state = self.state + np.uint64(count * _GAMMA & _MASK64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))  # shape (streams, count)
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._next(1)[0, 0])
 
     def field_element(self, p: int) -> int:
         return self.next_u64() % p
 
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
+        """Shape self.shape + (rows, cols): each stream's next draws mod p."""
         import numpy as np
-        return np.array(
-            [[self.field_element(p) for _ in range(cols)] for _ in range(rows)],
-            dtype=np.int64,
-        ).reshape(rows, cols)
+        draws = self._next(rows * cols) % np.uint64(p)
+        return draws.astype(np.int64).reshape(self.shape + (rows, cols))
 
 
 def _echelon(mat: np.ndarray, p: int):
-    """Row echelon form over F_p: the only elimination loop in this module.
+    """Row echelon form over F_p of a single matrix.
 
     Forward elimination with unit pivots; returns (e, pivots) where row i of
     e has a 1 in column pivots[i] and zeros below it, and the rows after
@@ -188,16 +195,47 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _inverse_mod(a: np.ndarray, p: int):
-    """Inverse of a square matrix over F_p, or None if singular."""
+def _gauss_jordan(a: np.ndarray, p: int):
+    """Gauss-Jordan over F_p on a stack (..., r, c): (e, rank), rank an int64
+    array of shape (...), each e a reduced row echelon form with its rows left
+    unscaled (pivots nonzero and alone in their columns).  One unblocked loop
+    over the columns for the whole stack: in column c each matrix swaps up its
+    first nonzero row at or below its rank so far, and every other row becomes
+    pivot * row - row[c] * pivot_row (no inverse; products stay below 2^62)."""
     import numpy as np
-    size = a.shape[0]
-    e, pivots = _echelon(np.hstack([a, np.eye(size, dtype=np.int64)]), p)
-    if pivots[-1] >= size:
-        return None
-    for c in range(size - 1, 0, -1):
-        e[:c] = (e[:c] - e[:c, c : c + 1] * e[c]) % p
-    return e[:, size:]
+    e = np.asarray(a, dtype=np.int64).reshape(prod(a.shape[:-2]), *a.shape[-2:]) % p
+    _, rows, cols = e.shape
+    rank, at = np.zeros(len(e), dtype=np.int64), np.arange(len(e))
+    for c in range(cols if rows else 0):
+        candidates = (e[:, :, c] != 0) & (np.arange(rows) >= rank[:, None])
+        found, r = candidates.any(1), np.minimum(rank, rows - 1)
+        i = np.where(found, candidates.argmax(1), r)
+        e[at, r], e[at, i] = e[at, i], e[at, r]
+        pivot_row = e[at, r]
+        factors = e[:, :, c] * found[:, None]
+        factors[at, r] = 0
+        e *= np.where(found, pivot_row[:, c], 1)[:, None, None]
+        e -= factors[:, :, None] * pivot_row[:, None, :]
+        e %= p
+        rank += found
+    return e.reshape(a.shape), rank.reshape(a.shape[:-2])
+
+
+def _inverse_mod(a: np.ndarray, p: int):
+    """(inverse, invertible) over F_p of each matrix of a stack (..., k, k),
+    from the eliminated [a | I]: a is invertible iff column k-1 holds a
+    pivot, and row i of its inverse is row i of the right block over the
+    pivot x in column i, 1/x = x^(p-2) (Fermat).  Garbage where singular."""
+    import numpy as np
+    size = a.shape[-1]
+    eye = np.broadcast_to(np.eye(size, dtype=np.int64), a.shape)
+    e, _ = _gauss_jordan(np.concatenate([a, eye], axis=-1), p)
+    x = np.diagonal(e[..., :size], axis1=-2, axis2=-1)
+    inv = np.ones_like(x)
+    for bit in bin(p - 2)[2:]:  # square-and-multiply, high bit first
+        inv = inv * inv % p
+        inv = inv * x % p if bit == "1" else inv
+    return e[..., size:] * inv[..., None] % p, e[..., size - 1, size - 1] != 0
 
 
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -236,15 +274,18 @@ class FpMatrix:
     def shape(self):
         return self.data.shape
 
-    def rank(self) -> int:
-        return len(_echelon(self.data, self.p)[1])
+    def rank(self):
+        """An int for a matrix (_echelon), an int array for a stack (_gauss_jordan)."""
+        if self.data.ndim == 2:
+            return len(_echelon(self.data, self.p)[1])
+        return _gauss_jordan(self.data, self.p)[1]
 
 
 @dataclass(frozen=True)
 class KalmanPoint:
     """An endomorphism in the basis adapted to the marked subspace L:
     the top-left d x d block acts on L, the bottom-left block is the
-    obstruction to L-invariance."""
+    obstruction to L-invariance.  phi may be a stack (..., n, n)."""
 
     d: int
     n: int
@@ -255,7 +296,7 @@ class KalmanPoint:
         import numpy as np
         _check_modulus(self.p)
         phi = np.asarray(self.phi, dtype=np.int64)
-        if phi.shape != (self.n, self.n):
+        if phi.shape[-2:] != (self.n, self.n):
             raise ValueError("phi must be n x n")
         if not 1 <= self.d < self.n:
             raise ValueError("need 1 <= d < n")
@@ -263,64 +304,68 @@ class KalmanPoint:
 
     @property
     def alpha(self) -> np.ndarray:
-        return self.phi[: self.d, : self.d]
+        return self.phi[..., : self.d, : self.d]
 
     @property
     def beta(self) -> np.ndarray:
-        return self.phi[: self.d, self.d :]
+        return self.phi[..., : self.d, self.d :]
 
     @property
     def gamma(self) -> np.ndarray:
-        return self.phi[self.d :, : self.d]
+        return self.phi[..., self.d :, : self.d]
 
     @property
     def delta(self) -> np.ndarray:
-        return self.phi[self.d :, self.d :]
+        return self.phi[..., self.d :, self.d :]
 
 
 def reduced_kalman_matrix(pt: KalmanPoint) -> FpMatrix:
     """Vertical stack of gamma, gamma*alpha, ..., gamma*alpha^{d-1};
-    shape d(n-d) x d.  Rows from the j-th block are values of degree-(j+1)
-    polynomials in the entries of phi."""
+    shape d(n-d) x d, one per point of a stack.  Rows from the j-th block
+    are values of degree-(j+1) polynomials in the entries of phi."""
     import numpy as np
     blocks = [pt.gamma]
     for _ in range(pt.d - 1):
         blocks.append(_matmul_mod(blocks[-1], pt.alpha, pt.p))
-    return FpMatrix(np.vstack(blocks), pt.p)
+    return FpMatrix(np.concatenate(blocks, axis=-2), pt.p)
 
 
-def minors_vanish(m: FpMatrix, k: int) -> bool:
-    """True iff every k x k minor is zero, decided as rank < k."""
-    if not 1 <= k <= min(m.shape):
+def minors_vanish(m: FpMatrix, k: int):
+    """True iff every k x k minor is zero, decided as rank < k (per matrix of a stack)."""
+    if not 1 <= k <= min(m.shape[-2:]):
         raise ValueError("k out of range")
     return m.rank() < k
 
 
-def sample_member(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> KalmanPoint:
+def sample_member(s: int, d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
     """Deterministic random point of the variety: start from phi0 that
     preserves span(e_1..e_s) and conjugate by a random invertible g that
-    preserves L, so the invariant subspace is a generic s-plane inside L."""
+    preserves L, so the invariant subspace is a generic s-plane inside L.
+    A sequence of seeds gives a stack: each point as its seed gives it alone."""
     import numpy as np
     _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     rng = SplitMix64(seed)
     phi0 = rng.matrix(n, n, p)
-    phi0[s:, :s] = 0
-    for _ in range(100):
-        g = np.zeros((n, n), dtype=np.int64)
-        g[:d, :d] = rng.matrix(d, d, p)
-        g[:d, d:] = rng.matrix(d, n - d, p)
-        g[d:, d:] = rng.matrix(n - d, n - d, p)
-        g_inv = _inverse_mod(g, p)
-        if g_inv is not None:
-            phi = _matmul_mod(_matmul_mod(g, phi0, p), g_inv, p)
+    phi0[..., s:, :s] = 0
+    phi, pending = phi0, np.ones(rng.shape, dtype=bool)
+    for _ in range(100):  # a singular g is redrawn from its own seed's next draws
+        g = np.zeros(rng.shape + (n, n), dtype=np.int64)
+        g[..., :d, :d] = rng.matrix(d, d, p)
+        g[..., :d, d:] = rng.matrix(d, n - d, p)
+        g[..., d:, d:] = rng.matrix(n - d, n - d, p)
+        g_inv, invertible = _inverse_mod(g, p)
+        conj = _matmul_mod(_matmul_mod(g, phi0, p), g_inv, p)
+        phi = np.where((pending & invertible)[..., None, None], conj, phi)
+        pending = pending & ~invertible
+        if not pending.any():
             return KalmanPoint(d, n, phi, p)
     raise RuntimeError("failed to sample an invertible block matrix")  # p is huge
 
 
-def sample_generic(d: int, n: int, seed: int, p: int = P_DEFAULT) -> KalmanPoint:
-    """Uniform random endomorphism (no invariance constraint)."""
+def sample_generic(d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
+    """Uniform random endomorphism (no invariance constraint), one per seed."""
     _check_modulus(p)
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
@@ -487,12 +532,9 @@ def numeric_hilbert_function(
             ranks = np.zeros(len(blocks), dtype=np.int64)
             npts = min(int(counts.max()), dims[k]) + HF_MARGIN
             for _ in range(HF_REPEATS):
-                flats = np.ones((npts, nn + 1), dtype=np.int64)
-                stacks = np.empty((npts, d * (n - d), d), dtype=np.int64)
-                for t in range(npts):
-                    pt = KalmanPoint(d, n, rng.matrix(n, n, p), p)
-                    flats[t, :nn] = pt.phi.reshape(-1)
-                    stacks[t] = reduced_kalman_matrix(pt).data
+                phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
+                flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
+                stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
                 minor_vals = _det_mod(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
                 for b, block in enumerate(blocks):
                     m = min(len(block), dims[k]) + HF_MARGIN

@@ -9,7 +9,7 @@ flat kernel that replaced it and checks it on every small triple.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 from kalmanres.partitions import Partition, is_weakly_decreasing, schur_rank
 
@@ -450,6 +450,94 @@ def echelon_unblocked(mat, p):
             e[r + 1 + below, c:] = (e[r + 1 + below, c:] - f * e[r, c:]) % p
         pivots.append(c)
     return e, pivots
+
+
+def reduced_echelon(mat, p):
+    """Reduced row echelon form over F_p: echelon_unblocked, then every
+    pivot column cleared above its pivot by back-substitution.  Returns
+    (e, pivots) with unit pivots."""
+    e, pivots = echelon_unblocked(mat, p)
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        e[:r] = (e[:r] - e[:r, c : c + 1] * e[r]) % p
+    return e, pivots
+
+
+def inverse_mod(a, p):
+    """Inverse of a square matrix over F_p, or None if it is singular: the
+    right block of the reduced form of [a | I]."""
+    import numpy as np
+
+    size = len(a)
+    e, pivots = reduced_echelon(np.hstack([a, np.eye(size, dtype=np.int64)]), p)
+    if pivots[-1] >= size:
+        return None
+    return e[:, size:]
+
+
+# -- seeded sampling, one seed at a time ----------------------------------------
+
+
+def splitmix64_stream(seed):
+    """The outputs of SplitMix64 from seed, one at a time, by the recurrence
+    state += 0x9E3779B97F4A7C15 and the xor-shift-multiply mix on Python
+    ints."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def splitmix64_draws(seed, count):
+    return list(islice(splitmix64_stream(seed), count))
+
+
+def _draw_matrix(stream, rows, cols, p):
+    """The stream's next rows x cols outputs mod p, row by row."""
+    import numpy as np
+
+    return np.array([next(stream) % p for _ in range(rows * cols)], dtype=np.int64).reshape(rows, cols)
+
+
+def sample_member_oracle(s, d, n, seed, p):
+    """kalman.sample_member for one seed as a loop over attempts: phi0 with
+    span(e_1..e_s) invariant, conjugated by the first invertible g that
+    preserves L, with products on Python ints.  Returns (phi, attempts)."""
+    import numpy as np
+
+    stream = splitmix64_stream(seed)
+    phi0 = _draw_matrix(stream, n, n, p).astype(object)
+    phi0[s:, :s] = 0
+    for attempt in range(1, 101):
+        g = np.zeros((n, n), dtype=np.int64)
+        g[:d, :d] = _draw_matrix(stream, d, d, p)
+        g[:d, d:] = _draw_matrix(stream, d, n - d, p)
+        g[d:, d:] = _draw_matrix(stream, n - d, n - d, p)
+        g_inv = inverse_mod(g, p)
+        if g_inv is not None:
+            phi = (g.astype(object) @ phi0 % p) @ g_inv.astype(object) % p
+            return phi.astype(np.int64), attempt
+    raise RuntimeError("failed to sample an invertible block matrix")
+
+
+def sample_generic_oracle(n, seed, p):
+    """kalman.sample_generic for one seed: the first n x n draws mod p."""
+    return _draw_matrix(splitmix64_stream(seed), n, n, p)
+
+
+def kalman_stack_rank(phi, d, p):
+    """Rank over F_p of the stack (gamma; gamma alpha; ...) of one phi."""
+    import numpy as np
+
+    alpha, block = phi[:d, :d].astype(object), phi[d:, :d].astype(object)
+    blocks = [block]
+    for _ in range(d - 1):
+        blocks.append(blocks[-1] @ alpha % p)
+    return len(echelon_unblocked(np.vstack(blocks).astype(np.int64), p)[1])
 
 
 # -- Hilbert function by dense evaluation --------------------------------------

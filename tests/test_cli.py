@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -6,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from kalmanres import cli
+from kalmanres import cli, kalman
 from kalmanres.bott import GrassmannianContext
 from kalmanres.cli import _VERIFIERS, MISMATCH, OK, REFUSED, USAGE, main
 from kalmanres.geometric import resolution_terms
 from kalmanres.resolutions import table_s1
+from property_checks import kalman_stack_rank, sample_generic_oracle, sample_member_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,6 +177,34 @@ class TestKalmanSampling:
         first = capsys.readouterr().out
         assert main(argv) == OK
         assert capsys.readouterr().out == first
+
+    # kalman-test samples TRIAL_CHUNK trials at a time: the counts on either
+    # side of a chunk edge must be those of one trial at a time.  Over F_3
+    # some generic points have only vanishing 2-minors, so the counts differ
+    # from the trial count; the CLI itself samples over P_DEFAULT, where a
+    # negative seed must not overflow the uint64 state
+    @pytest.mark.parametrize("p, seed", [(3, 0), (3, -3), (kalman.P_DEFAULT, -3)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_counts_at_chunk_edges_match_the_oracle_loop(self, capsys, monkeypatch, p, seed, offset):
+        if p != kalman.P_DEFAULT:
+            monkeypatch.setattr(cli, "sample_member", functools.partial(kalman.sample_member, p=p))
+            monkeypatch.setattr(cli, "sample_generic", functools.partial(kalman.sample_generic, p=p))
+        s, d, n = 1, 2, 4
+        trials = cli.TRIAL_CHUNK + offset
+        argv = ["kalman-test", "--s", "1", "--d", "2", "--n", "4", "--trials", str(trials), "--seed", str(seed)]
+        code, payload = run_json(capsys, argv)
+        sound = sum(
+            kalman_stack_rank(sample_member_oracle(s, d, n, seed + t, p)[0], d, p) <= d - s
+            for t in range(trials)
+        )
+        nonzero = sum(
+            kalman_stack_rank(sample_generic_oracle(n, seed + 10_000_019 + t, p), d, p) > d - s
+            for t in range(trials)
+        )
+        assert (payload["member_sound"], payload["generic_nonvanishing"]) == (sound, nonzero)
+        assert code == (OK if sound == trials and nonzero >= 0.99 * trials else MISMATCH)
+        if p == kalman.P_DEFAULT:
+            assert code == OK
 
     def test_codim(self, capsys):
         code, payload = run_json(

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kalmanres import kalman
 from kalmanres.kalman import (
     P_DEFAULT,
     BudgetExceededError,
@@ -13,6 +14,7 @@ from kalmanres.kalman import (
     SplitMix64,
     _det_mod,
     _echelon,
+    _gauss_jordan,
     _inverse_mod,
     _left_kernel,
     _matmul_mod,
@@ -28,9 +30,14 @@ from kalmanres.kalman import (
 from property_checks import (
     echelon_unblocked,
     hilbert_function_dense,
+    inverse_mod,
     laplace_adjugate,
     laplace_det,
     minors_jacobian_rank,
+    reduced_echelon,
+    sample_generic_oracle,
+    sample_member_oracle,
+    splitmix64_draws,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
@@ -60,6 +67,21 @@ class TestRng:
         ys = [b.field_element(P_DEFAULT) for _ in range(200)]
         assert xs == ys
         assert all(0 <= x < P_DEFAULT for x in xs)
+
+    @pytest.mark.parametrize("p", [2, 97, P_DEFAULT])
+    def test_vectorised_draws_equal_the_scalar_stream(self, p):
+        # seeds are reduced mod 2^64, so -1 and 2^64 + 5 are states 2^64 - 1 and 5
+        seeds = [0, -1, (1 << 64) + 5] + np.random.default_rng(p).integers(0, 1 << 63, 5).tolist()
+        rng = SplitMix64(seeds)
+        first, second = rng.matrix(3, 4, p), rng.matrix(2, 1, p)
+        assert first.shape == (len(seeds), 3, 4) and second.shape == (len(seeds), 2, 1)
+        for t, seed in enumerate(seeds):
+            draws = [x % p for x in splitmix64_draws(seed, 14)]
+            assert first[t].reshape(-1).tolist() == draws[:12]
+            assert second[t].reshape(-1).tolist() == draws[12:]
+            one = SplitMix64(seed)
+            assert one.matrix(3, 4, p).tolist() == first[t].tolist()
+            assert one.next_u64() == splitmix64_draws(seed, 13)[12]
 
     def test_matrix_shape_and_seed_sensitivity(self):
         m1 = SplitMix64(7).matrix(3, 4, P_DEFAULT)
@@ -157,17 +179,64 @@ class TestModularLinearAlgebra:
     def test_inverse_and_adjugate(self):
         p = P_DEFAULT
         a = SplitMix64(11).matrix(4, 4, p)
-        inv = _inverse_mod(a, p)
+        inv, invertible = _inverse_mod(a, p)
+        assert invertible
         assert _matmul_mod(a, inv, p).tolist() == np.eye(4, dtype=np.int64).tolist()
         det = _det_mod(a, p)
         adj = np.array(laplace_adjugate(a.tolist(), p), dtype=np.int64)
         prod = _matmul_mod(a, adj, p)
         assert prod.tolist() == (det * np.eye(4, dtype=object) % p).tolist()
 
-    def test_singular_inverse_is_none(self):
-        assert _inverse_mod(np.zeros((2, 2), dtype=np.int64), P_DEFAULT) is None
+    def test_singular_inverse_is_flagged(self):
+        assert not _inverse_mod(np.zeros((2, 2), dtype=np.int64), P_DEFAULT)[1]
         singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
-        assert _inverse_mod(singular, P_DEFAULT) is None
+        assert not _inverse_mod(singular, P_DEFAULT)[1]
+        _, invertible = _inverse_mod(np.stack([singular, np.eye(2, dtype=np.int64)]), P_DEFAULT)
+        assert invertible.tolist() == [False, True]
+
+    @pytest.mark.parametrize("p", [2, 3, P_DEFAULT])
+    def test_stacked_inverses_match_the_oracle(self, p):
+        rng = np.random.default_rng(p)
+        for size in range(1, 7):
+            a = rng.integers(0, p, (60, size, size))
+            a[:10, -1] = a[:10, 0]  # singular: two equal rows
+            inv, invertible = _inverse_mod(a, p)
+            assert inv.shape == a.shape and invertible.shape == (60,)
+            for t in range(60):
+                expected = inverse_mod(a[t], p)
+                assert bool(invertible[t]) == (expected is not None), (size, t)
+                if expected is not None:
+                    assert inv[t].tolist() == expected.tolist(), (size, t)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, P_DEFAULT])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 4), (7, 3), (3, 7), (12, 4), (7, 14), (4, 0)])
+    def test_stack_ranks_match_echelon(self, rows, cols, p):
+        # full, low-rank and zero-row matrices in one stack of shape (3, 20, rows, cols)
+        rng = np.random.default_rng(rows * 100 + cols)
+        a = rng.integers(0, p, (3, 20, rows, cols))
+        inner = rng.integers(0, min(rows, cols) + 1, 20)
+        for t, r in enumerate(inner):
+            low = rng.integers(0, p, (rows, r)).astype(object) @ rng.integers(0, p, (r, cols)).astype(object)
+            a[1, t] = (low % p).astype(np.int64)
+        a[2, :, : rows // 2] = 0
+        e, ranks = _gauss_jordan(a, p)
+        assert e.shape == a.shape and ranks.shape == (3, 20)
+        stack = FpMatrix(a, p)
+        assert stack.rank().tolist() == ranks.tolist()
+        for idx in np.ndindex(3, 20):
+            expected, pivots = reduced_echelon(a[idx], p)
+            assert ranks[idx] == len(pivots) == FpMatrix(a[idx], p).rank()
+            # e is the reduced form up to the scale of each row
+            lead = np.array([row[row != 0][0] if row.any() else 1 for row in e[idx]], dtype=object)
+            scaled = e[idx].astype(object) * np.array([pow(int(x), -1, p) for x in lead], dtype=object)[:, None] % p
+            assert scaled.tolist() == expected.tolist(), idx
+
+    def test_rank_type_follows_the_shape(self):
+        m = np.array([[1, 2], [2, 4]], dtype=np.int64)
+        assert type(FpMatrix(m, 97).rank()) is int
+        ranks = FpMatrix(np.stack([m, np.eye(2, dtype=np.int64)]), 97).rank()
+        assert ranks.dtype == np.int64 and ranks.tolist() == [1, 2]
+        assert minors_vanish(FpMatrix(np.stack([m, np.eye(2, dtype=np.int64)]), 97), 2).tolist() == [True, False]
 
     def test_fp_matrix_wrapper(self):
         p = 97
@@ -283,6 +352,44 @@ class TestSampling:
         assert pt.p == P_DEFAULT
         pt = sample_member(2, 4, 7, seed=0)
         assert int(pt.phi.astype(object).sum() % P_DEFAULT) == 633221933
+
+    # over F_2 a random g is singular more often than not, so many seeds redraw
+    @pytest.mark.parametrize("p", [2, 3, 5, P_DEFAULT])
+    def test_batch_rows_equal_the_per_seed_oracle(self, p):
+        seeds = list(range(-3, 37)) + [(1 << 64) + 5]
+        attempts = []
+        for s, d, n in [(1, 2, 4), (2, 3, 5), (2, 4, 7), (1, 1, 3)]:
+            member = sample_member(s, d, n, seeds, p)
+            generic = sample_generic(d, n, seeds, p)
+            assert member.phi.shape == generic.phi.shape == (len(seeds), n, n)
+            for t, seed in enumerate(seeds):
+                phi, tries = sample_member_oracle(s, d, n, seed, p)
+                attempts.append(tries)
+                assert member.phi[t].tolist() == phi.tolist(), (s, d, n, seed)
+                assert sample_member(s, d, n, seed, p).phi.tolist() == phi.tolist()
+                assert generic.phi[t].tolist() == sample_generic_oracle(n, seed, p).tolist()
+        if p <= 3:
+            assert max(attempts) > 1
+
+    def test_batch_views_and_stacks(self):
+        pts = sample_member(2, 4, 7, range(5))
+        stacks = reduced_kalman_matrix(pts).data
+        assert pts.alpha.shape == (5, 4, 4) and pts.gamma.shape == (5, 3, 4)
+        assert stacks.shape == (5, 12, 4)
+        for t in range(5):
+            one = sample_member(2, 4, 7, t)
+            assert pts.beta[t].tolist() == one.beta.tolist()
+            assert pts.delta[t].tolist() == one.delta.tolist()
+            assert stacks[t].tolist() == reduced_kalman_matrix(one).data.tolist()
+
+    def test_singular_draws_raise_after_100_attempts(self, monkeypatch):
+        def never_invertible(a, p):
+            return a, np.zeros(a.shape[:-2], dtype=bool)
+
+        monkeypatch.setattr(kalman, "_inverse_mod", never_invertible)
+        for seed in (0, [0, 1]):
+            with pytest.raises(RuntimeError, match="invertible"):
+                sample_member(1, 2, 4, seed)
 
     def test_s_equals_d_member_kills_gamma_blocks(self):
         # s = d means L itself is invariant; the whole stacked matrix vanishes
