@@ -5,11 +5,14 @@ One series, two computations
 The Hilbert series of the normalization can be read off the Betti table
 (alternating sum of ranks) or assembled directly from Euler
 characteristics on the Grassmannian, skipping the Betti table entirely.
-Both routes start from the same Cauchy and Littlewood-Richardson
-decomposition of the exterior powers of the bundle, so they do not check
-that step.  After it they part: the table route runs Bott's algorithm and
-hook-content ranks, the Euler route only the Weyl dimension product.
-Agreement checks everything downstream of the shared decomposition.
+Both routes sweep the same Cauchy and Littlewood-Richardson candidates of
+the exterior powers of the bundle and share the LR counts on regular
+weights, so they do not check that step.  Each drops the weights that
+vanish by its own test before their LR coefficient is counted: the table
+route by Bott's repeat test, the Euler route by a zero Weyl product.  After
+that they part: the table route runs Bott's algorithm and hook-content
+ranks, the Euler route only the Weyl dimension product.  Agreement checks
+both vanishing tests and everything downstream of the shared sweep.
 """
 
 from kalmanres import (

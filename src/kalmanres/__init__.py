@@ -62,12 +62,7 @@ from .resolutions import (
     table_s2_d3,
     table_w_line,
 )
-from .schur import (
-    cauchy_exterior,
-    lr_coefficient,
-    lr_product,
-    pieri_horizontal,
-)
+from .schur import cauchy_exterior, lr_coefficient, lr_product
 
 __version__ = "0.1.0"
 
@@ -111,7 +106,6 @@ __all__ = [
     "numeric_hilbert_function",
     "partitions_in_box",
     "partitions_of",
-    "pieri_horizontal",
     "predicted_hilbert_series",
     "reduced_kalman_matrix",
     "resolution_terms",

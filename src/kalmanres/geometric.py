@@ -8,8 +8,9 @@ homological index i = q - j and internal degree e = q.
 
 Hilbert series are computed twice, by design: once from the assembled table
 (Bott degrees plus hook content ranks) and once as an Euler characteristic
-via the Weyl dimension product (no sorting, no hooks).  The two routes must
-agree exactly; tests enforce this.
+via the Weyl dimension product (no sorting, no hooks).  They share the sweep
+and the LR counts on regular weights; each drops vanishing weights by its own
+test.  The two routes must agree exactly; tests enforce this.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
-from .bott import GrassmannianContext, cohomology_of_summand
+from . import schur
+from .bott import GrassmannianContext, cohomology_of_summand, vanishing_test
 from .partitions import Partition, Weight, dual_weight, partitions_in_box, schur_rank
-from .schur import _lr_product
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,9 @@ class XiSummand:
         )
 
 
-def xi_exterior_decomposition(ctx: GrassmannianContext, q: int) -> list[XiSummand]:
+def xi_exterior_decomposition(
+    ctx: GrassmannianContext, q: int, *, vanishes: Optional[Callable] = None
+) -> list[XiSummand]:
     """Cauchy decomposition of wedge^q(xi) into XiSummands.
 
     wedge^q splits over the two blocks of xi; each block contributes a
@@ -51,6 +54,9 @@ def xi_exterior_decomposition(ctx: GrassmannianContext, q: int) -> list[XiSumman
     are multiplied by Littlewood-Richardson.  Summands whose R-weight needs
     more than s rows vanish, so the product never generates them.  The
     invariant |lambda_r| = |mu_qstar| + |nu_w| holds for every summand.
+
+    vanishes(lam', ctx), if given, runs once per Q*-partition lam' and returns a
+    test of the R-partition nu that drops the summand before its LR count.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -63,9 +69,15 @@ def xi_exterior_decomposition(ctx: GrassmannianContext, q: int) -> list[XiSumman
         mus = [(mu, mu.conjugate()) for mu in partitions_in_box(b, s, w)]
         for lam in partitions_in_box(a, s, quot):
             lam_conj = lam.conjugate()
+            drop = vanishes(lam_conj, ctx) if vanishes else None
             for mu, mu_conj in mus:
-                for nu, c in _lr_product(lam, mu, s):
-                    out.append(XiSummand(nu, lam_conj, mu_conj, c))
+                for nu in schur._lr_candidates(lam, mu, s):
+                    if drop is not None and drop(nu):
+                        continue
+                    # through the module, so a wrapper set on schur sees the call
+                    c = schur.lr_coefficient(lam, mu, nu)
+                    if c:
+                        out.append(XiSummand(nu, lam_conj, mu_conj, c))
     return out
 
 
@@ -73,9 +85,10 @@ def cohomology_table(
     ctx: GrassmannianContext, q: int
 ) -> dict[int, Counter]:
     """Cohomology of wedge^q(xi), as {degree j: Counter[(L-partition,
-    W-partition)] with multiplicities}.  Only nonzero degrees appear."""
+    W-partition)] with multiplicities}.  Only nonzero degrees appear; Bott's
+    repeat test drops the vanishing summands before their LR count."""
     table: dict[int, Counter] = {}
-    for summand in xi_exterior_decomposition(ctx, q):
+    for summand in xi_exterior_decomposition(ctx, q, vanishes=vanishing_test):
         res = cohomology_of_summand(summand.lambda_r, summand.mu_qstar, ctx)
         if res.is_zero:
             continue
@@ -356,17 +369,35 @@ def weyl_euler_characteristic(weight: Weight, d: int) -> int:
     return q
 
 
+def _weyl_product_vanishes(mu_qstar: Partition, ctx: GrassmannianContext) -> Callable:
+    """The Euler route's own test, apart from Bott's: with Q* fixed, is the Weyl
+    product of the summand zero?  Both parts of u = weight + rho strictly
+    decrease, so u repeats exactly when an R-entry equals a Q-entry."""
+    d, s = ctx.d, ctx.rank_sub
+    alpha = dual_weight(mu_qstar.pad(ctx.rank_quot))
+    u_quot = tuple(w + d - 1 - j for j, w in enumerate(alpha))
+
+    def vanishes(lam: Partition) -> bool:
+        for i in range(s):
+            if (lam[i] if i < len(lam) else 0) + s - 1 - i in u_quot:
+                return True
+        return False
+
+    return vanishes
+
+
 def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     """Hilbert series of the normalization, computed directly as
     sum_q (-t)^q chi(wedge^q xi) with chi through the Weyl dimension product.
 
-    Shares only the Cauchy + LR sweep with hilbert_series(resolution_terms(ctx))
-    (no Bott, no hook-content ranks); the two must agree exactly.
+    Shares the candidate sweep and the LR counts on regular weights with
+    hilbert_series(resolution_terms(ctx)), drops weights of zero Weyl product
+    by its own test (no Bott, no hook-content ranks); the two must agree.
     """
     coeffs = [0] * (ctx.xi_rank + 1)
     for q in range(ctx.xi_rank + 1):
         total = 0
-        for summand in xi_exterior_decomposition(ctx, q):
+        for summand in xi_exterior_decomposition(ctx, q, vanishes=_weyl_product_vanishes):
             nu = dual_weight(summand.mu_qstar.pad(ctx.rank_quot)) + summand.lambda_r.pad(
                 ctx.rank_sub
             )

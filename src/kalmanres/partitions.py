@@ -57,10 +57,6 @@ class Partition(tuple):
             sum(1 for p in self if p >= i) for i in range(1, self[0] + 1)
         )
 
-    def contains(self, other: "Partition") -> bool:
-        """Containment of Young diagrams: other fits inside self."""
-        return len(other) <= len(self) and all(a >= b for a, b in zip(self, other))
-
     def exponent_string(self) -> str:
         """Compact human form, e.g. (2,1,1) -> "2,1^2"; empty -> "0"."""
         if not self:

@@ -1,6 +1,5 @@
-"""Tensor calculus for Schur functors: the horizontal Pieri rule,
-Littlewood-Richardson coefficients by tableau enumeration, and the Cauchy
-decomposition of exterior powers.
+"""Tensor calculus for Schur functors: Littlewood-Richardson coefficients by
+tableau enumeration, and the Cauchy decomposition of exterior powers.
 
 Products map Partition -> positive multiplicity, keys in lexicographic
 descending order.  S_nu of a rank-r bundle is zero beyond r rows, so the
@@ -10,39 +9,16 @@ Row r (from 0) of an LR tableau holds only the values 1..r+1: its rightmost
 entry v is read before the rest of the row, so the lattice condition needs
 a v - 1 in the rows above, and those hold at most r by induction.  Hence
 rows 0..r of nu/lam have at most mu_1 + ... + mu_{r+1} cells whenever
-c^nu_{lam,mu} > 0.  The product skips every other nu before counting, and
-the count caps each row's values by the same fact."""
+c^nu_{lam,mu} > 0.  The candidate scan skips every other nu before counting,
+and the count caps each row's values by the same fact."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import ge
+from typing import Iterator
 
 from .partitions import Partition, partitions_in_box, partitions_of
-
-
-def pieri_horizontal(mu: Partition, k: int) -> list[Partition]:
-    """All nu obtained from mu by adding a horizontal strip of size k:
-    nu_i >= mu_i >= nu_{i+1}, |nu| = |mu| + k.  Each has multiplicity 1."""
-    mu = Partition(mu)
-    if k < 0:
-        raise ValueError("strip size must be nonnegative")
-    out: list[Partition] = []
-
-    def place(i: int, remaining: int, prefix: tuple) -> None:
-        if i == mu.length() + 1:
-            if remaining == 0:
-                out.append(Partition(prefix))
-            return
-        lo = mu.part(i)
-        # upper bound: row above must dominate what we add below it
-        hi = mu.part(i - 1) if i > 0 else mu.part(0) + remaining
-        hi = min(hi, lo + remaining)
-        for v in range(hi, lo - 1, -1):
-            place(i + 1, remaining - (v - lo), prefix + (v,))
-
-    place(0, k, ())
-    return sorted(out, reverse=True)
 
 
 @lru_cache(maxsize=None)
@@ -109,16 +85,11 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
             v = values[above[i]]
 
 
-@lru_cache(maxsize=None)
-def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
-    """(nu, c^nu_{lam,mu}) with c > 0 for nu of at most `rows` rows, the rank of
-    the bundle receiving the product; len(lam) + len(mu) rows give them all.
-
-    nu is scanned in lexicographic descending order, and lr_coefficient is
-    asked only about nu that contain lam and pass the content-prefix bound:
-    rows 0..r of nu/lam have at most mu_1 + ... + mu_{r+1} cells, because
-    each row's largest value v needs a v - 1 in the rows above it (the
-    lattice condition), so row r holds only the values 1..r+1."""
+def _lr_candidates(lam: Partition, mu: Partition, rows: int) -> Iterator[Partition]:
+    """The nu of at most `rows` rows that may have c^nu_{lam,mu} > 0, in
+    lexicographic descending order: each has the right size, contains lam
+    and passes the content-prefix bound.  Callers count lr_coefficient only
+    on these."""
     rows = min(rows, len(lam) + len(mu))
     lam_rows = tuple(lam) + (0,) * (rows - len(lam))
     bound = []
@@ -126,7 +97,6 @@ def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
     for r in range(rows):
         room += mu[r] if r < len(mu) else 0
         bound.append(room)
-    out = []
     for nu in partitions_in_box(sum(lam) + sum(mu), rows, lam.part(0) + mu.part(0)):
         if len(nu) < len(lam):
             continue
@@ -136,9 +106,18 @@ def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
             if width < first or skew > most:
                 break
         else:
-            c = lr_coefficient(lam, mu, nu)
-            if c:
-                out.append((nu, c))
+            yield nu
+
+
+@lru_cache(maxsize=None)
+def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
+    """(nu, c^nu_{lam,mu}) with c > 0 for nu of at most `rows` rows, the rank of
+    the bundle receiving the product; len(lam) + len(mu) rows give them all."""
+    out = []
+    for nu in _lr_candidates(lam, mu, rows):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out.append((nu, c))
     return tuple(out)
 
 

@@ -3,15 +3,25 @@
 Everything here is written from textbook definitions on purpose, avoiding
 the library's own algorithms (hooks, Pieri recursions, tableau backtracking),
 so that agreement between the two is meaningful evidence rather than a
-tautology.  The one exception is lr_coefficient_cells, the library's former
-cell-by-cell LR backtracker, kept as written: it shares no code with the
-flat kernel that replaced it and checks it on every small triple.
+tautology.  The exceptions are the library's former code, kept as written:
+lr_coefficient_cells, the cell-by-cell LR backtracker, which shares no code
+with the flat kernel that replaced it and checks it on every small triple;
+and the two Hilbert-series routes before their vanishing pre-tests, which
+run every summand of the complete decomposition through Bott and the Weyl
+product.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice
 
-from kalmanres.partitions import Partition, is_weakly_decreasing, schur_rank
+from kalmanres.bott import cohomology_of_summand
+from kalmanres.geometric import (
+    HilbertSeries,
+    weyl_euler_characteristic,
+    xi_exterior_decomposition,
+)
+from kalmanres.partitions import Partition, dual_weight, is_weakly_decreasing, schur_rank
 
 
 # -- semistandard tableaux ----------------------------------------------------
@@ -210,8 +220,9 @@ def lr_coefficient_cells(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if nu.size() != lam.size() + mu.size():
         return 0
-    if not nu.contains(lam) or not nu.contains(mu):
-        return 0
+    for inner in (lam, mu):
+        if len(inner) > len(nu) or any(a < b for a, b in zip(nu, inner)):
+            return 0
     values = mu.length()
     # cells in reverse reading order
     cells = [
@@ -250,6 +261,39 @@ def lr_coefficient_cells(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     fill(0)
     return total
+
+
+# -- the two Hilbert-series routes without vanishing pre-tests -----------------
+
+
+def cohomology_table_unfiltered(ctx, q):
+    """cohomology_table with every summand of the complete decomposition of
+    wedge^q(xi) pushed through cohomology_of_summand."""
+    table = {}
+    for summand in xi_exterior_decomposition(ctx, q):
+        res = cohomology_of_summand(summand.lambda_r, summand.mu_qstar, ctx)
+        if res.is_zero:
+            continue
+        eta = Partition(res.weight)
+        table.setdefault(res.degree, Counter())[(eta, summand.nu_w)] += summand.mult
+    return table
+
+
+def hilbert_series_normalization_unfiltered(ctx):
+    """hilbert_series_normalization with the Weyl product taken on every
+    summand of the complete decomposition of each wedge^q(xi)."""
+    coeffs = [0] * (ctx.xi_rank + 1)
+    for q in range(ctx.xi_rank + 1):
+        total = 0
+        for summand in xi_exterior_decomposition(ctx, q):
+            nu = dual_weight(summand.mu_qstar.pad(ctx.rank_quot)) + summand.lambda_r.pad(
+                ctx.rank_sub
+            )
+            chi = weyl_euler_characteristic(nu, ctx.d)
+            if chi:
+                total += summand.mult * chi * schur_rank(summand.nu_w, ctx.dim_w)
+        coeffs[q] = total if q % 2 == 0 else -total
+    return HilbertSeries(tuple(coeffs), ctx.n * ctx.n)
 
 
 # -- misc ---------------------------------------------------------------------

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from kalmanres.bott import GrassmannianContext
+from kalmanres.bott import GrassmannianContext, cohomology_of_summand, vanishing_test
 from kalmanres.geometric import (
     BettiTable,
+    _weyl_product_vanishes,
     HilbertSeries,
     XiSummand,
     cohomology_table,
@@ -15,8 +16,12 @@ from kalmanres.geometric import (
     weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
-from kalmanres.partitions import Partition, partitions_in_box, schur_rank
-from kalmanres.schur import lr_product
+from kalmanres.partitions import Partition, dual_weight, partitions_in_box, schur_rank
+from kalmanres.schur import _lr_candidates, lr_product
+from property_checks import (
+    cohomology_table_unfiltered,
+    hilbert_series_normalization_unfiltered,
+)
 
 
 def small_contexts(max_d=4, max_n=9):
@@ -66,6 +71,64 @@ class TestXiDecomposition:
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
             xi_exterior_decomposition(GrassmannianContext(1, 2, 4), -1)
+
+
+class TestVanishingPreTests:
+    # every 1 <= s <= d < n <= 8
+    CONTEXTS = list(small_contexts(max_d=7, max_n=8))
+
+    def test_filtered_routes_equal_the_unfiltered_oracles(self):
+        for ctx in self.CONTEXTS:
+            for q in range(ctx.xi_rank + 1):
+                assert cohomology_table(ctx, q) == cohomology_table_unfiltered(ctx, q), (ctx, q)
+            assert hilbert_series_normalization(ctx) == (
+                hilbert_series_normalization_unfiltered(ctx)
+            ), ctx
+
+    @staticmethod
+    def assert_pre_tests_agree(ctx, pairs, seen):
+        # Bott's repeat test, the Euler route's own test, Bott and the Weyl
+        # product all say the same of every (Q*-partition, R-partition) pair
+        for qstar, nu in pairs:
+            bott_says = vanishing_test(qstar, ctx)(nu)
+            weight = dual_weight(qstar.pad(ctx.rank_quot)) + nu.pad(ctx.rank_sub)
+            assert bott_says == _weyl_product_vanishes(qstar, ctx)(nu), (ctx, qstar, nu)
+            assert bott_says == cohomology_of_summand(nu, qstar, ctx).is_zero, (ctx, qstar, nu)
+            assert bott_says == (weyl_euler_characteristic(weight, ctx.d) == 0), (ctx, qstar, nu)
+            seen[bott_says] += 1
+
+    def test_pre_tests_agree_on_every_candidate(self):
+        # the pairs (lam', nu) the sweep puts to its vanishing test
+        seen = Counter()
+        for ctx in self.CONTEXTS:
+            s, quot, w = ctx.rank_sub, ctx.rank_quot, ctx.dim_w
+            pairs = {
+                (lam.conjugate(), nu)
+                for a in range(s * quot + 1)
+                for lam in partitions_in_box(a, s, quot)
+                for b in range(s * w + 1)
+                for mu in partitions_in_box(b, s, w)
+                for nu in _lr_candidates(lam, mu, s)
+            }
+            self.assert_pre_tests_agree(ctx, pairs, seen)
+        assert seen[True] > 1000 and seen[False] > 1000, seen
+
+    def test_pre_tests_agree_off_the_sweep(self):
+        # every pair of partitions in a box, including the nu too short to
+        # contain the conjugate of lam', which the sweep never produces: a
+        # zero row of nu can then repeat a shifted Q-entry
+        seen = Counter()
+        for ctx in small_contexts(max_d=4, max_n=5):
+            s, quot = ctx.rank_sub, ctx.rank_quot
+            pairs = [
+                (qstar, nu)
+                for a in range(quot * 4 + 1)
+                for qstar in partitions_in_box(a, quot, 4)
+                for b in range(s * 4 + 1)
+                for nu in partitions_in_box(b, s, 4)
+            ]
+            self.assert_pre_tests_agree(ctx, pairs, seen)
+        assert seen[True] > 200 and seen[False] > 800, seen
 
 
 class TestCohomologyTable:

@@ -69,13 +69,6 @@ class TestPartitionType:
         with pytest.raises(ValueError):
             Partition((2, 1, 1)).pad(2)
 
-    def test_contains(self):
-        assert Partition((3, 2)).contains(Partition((2, 2)))
-        assert not Partition((3, 2)).contains(Partition((2, 2, 1)))
-        assert not Partition((3, 2)).contains(Partition((4,)))
-        assert Partition((3, 2)).contains(Partition(()))
-        assert Partition(()).contains(Partition(()))
-
     def test_conjugate_frozen_examples(self):
         assert Partition((3, 1)).conjugate() == (2, 1, 1)
         assert Partition((4,)).conjugate() == (1, 1, 1, 1)

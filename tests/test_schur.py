@@ -7,7 +7,6 @@ from kalmanres.schur import (
     cauchy_exterior,
     lr_coefficient,
     lr_product,
-    pieri_horizontal,
 )
 from property_checks import (
     horizontal_strips,
@@ -22,21 +21,29 @@ def all_partitions_up_to(total):
         yield from partitions_of(q)
 
 
+def pieri_row(mu, k):
+    """lr_product with a one-row factor, keys in descending order; every
+    multiplicity must be 1."""
+    row = lr_product(mu, Partition((k,)))
+    assert set(row.values()) <= {1}, (mu, k)
+    return sorted(row, reverse=True)
+
+
 class TestPieri:
     def test_horizontal_frozen(self):
-        assert pieri_horizontal(Partition((2, 1)), 2) == [
+        assert pieri_row(Partition((2, 1)), 2) == [
             (4, 1),
             (3, 2),
             (3, 1, 1),
             (2, 2, 1),
         ]
-        assert pieri_horizontal(Partition(()), 3) == [(3,)]
-        assert pieri_horizontal(Partition((2,)), 0) == [(2,)]
+        assert pieri_row(Partition(()), 3) == [(3,)]
+        assert pieri_row(Partition((2,)), 0) == [(2,)]
 
     def test_against_strip_enumeration(self):
         for mu in all_partitions_up_to(5):
             for k in range(5):
-                assert pieri_horizontal(mu, k) == horizontal_strips(mu, k), (mu, k)
+                assert pieri_row(mu, k) == horizontal_strips(mu, k), (mu, k)
 
     def test_matches_lr_product(self):
         # spec property: lr_product with a one-row / one-column factor
@@ -44,9 +51,7 @@ class TestPieri:
         # multiplicities 1
         for mu in all_partitions_up_to(4):
             for k in range(1, 4):
-                row = lr_product(mu, Partition((k,)))
-                assert set(row.values()) <= {1}
-                assert sorted(row, reverse=True) == pieri_horizontal(mu, k)
+                assert pieri_row(mu, k) == horizontal_strips(mu, k)
                 col = lr_product(mu, Partition((1,) * k))
                 assert set(col.values()) <= {1}
                 assert sorted(col, reverse=True) == vertical_strips(mu, k)
