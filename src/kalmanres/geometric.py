@@ -71,13 +71,8 @@ def xi_exterior_decomposition(
             lam_conj = lam.conjugate()
             drop = vanishes(lam_conj, ctx) if vanishes else None
             for mu, mu_conj in mus:
-                for nu in schur._lr_candidates(lam, mu, s):
-                    if drop is not None and drop(nu):
-                        continue
-                    # through the module, so a wrapper set on schur sees the call
-                    c = schur.lr_coefficient(lam, mu, nu)
-                    if c:
-                        out.append(XiSummand(nu, lam_conj, mu_conj, c))
+                for nu, c in schur.lr_product(lam, mu, s, skip=drop).items():
+                    out.append(XiSummand(nu, lam_conj, mu_conj, c))
     return out
 
 

@@ -80,12 +80,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))  # shape (streams, count)
 
-    def next_u64(self) -> int:
-        return int(self._next(1)[0, 0])
-
-    def field_element(self, p: int) -> int:
-        return self.next_u64() % p
-
     def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
         """Shape self.shape + (rows, cols): each stream's next draws mod p."""
         import numpy as np
@@ -307,16 +301,8 @@ class KalmanPoint:
         return self.phi[..., : self.d, : self.d]
 
     @property
-    def beta(self) -> np.ndarray:
-        return self.phi[..., : self.d, self.d :]
-
-    @property
     def gamma(self) -> np.ndarray:
         return self.phi[..., self.d :, : self.d]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.phi[..., self.d :, self.d :]
 
 
 def reduced_kalman_matrix(pt: KalmanPoint) -> FpMatrix:

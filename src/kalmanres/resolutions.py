@@ -49,12 +49,8 @@ def koszul_table(
         for nu in partitions_in_box(i, d, w):
             nu_conj = nu.conjugate()
             for lam, mu, c in gens:
-                for left, cl in lr_product(lam, nu).items():
-                    if left.length() > d:
-                        continue
-                    for right, cr in lr_product(mu, nu_conj).items():
-                        if right.length() > w:
-                            continue
+                for left, cl in lr_product(lam, nu, d).items():
+                    for right, cr in lr_product(mu, nu_conj, w).items():
                         table.add(i, i + c, left, right, cl * cr)
     return table
 

@@ -2,8 +2,8 @@
 tableau enumeration, and the Cauchy decomposition of exterior powers.
 
 Products map Partition -> positive multiplicity, keys in lexicographic
-descending order.  S_nu of a rank-r bundle is zero beyond r rows, so the
-private product takes that row bound and never generates such nu.
+descending order.  S_nu of a rank-r bundle is zero beyond r rows, so
+lr_product takes that row bound and never generates such nu.
 
 Row r (from 0) of an LR tableau holds only the values 1..r+1: its rightmost
 entry v is read before the rest of the row, so the lattice condition needs
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import ge
-from typing import Iterator
+from typing import Callable, Optional
 
 from .partitions import Partition, partitions_in_box, partitions_of
 
@@ -85,47 +85,42 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
             v = values[above[i]]
 
 
-def _lr_candidates(lam: Partition, mu: Partition, rows: int) -> Iterator[Partition]:
-    """The nu of at most `rows` rows that may have c^nu_{lam,mu} > 0, in
-    lexicographic descending order: each has the right size, contains lam
-    and passes the content-prefix bound.  Callers count lr_coefficient only
-    on these."""
-    rows = min(rows, len(lam) + len(mu))
+def lr_product(
+    lam: Partition, mu: Partition, rows: Optional[int] = None, *, skip: Optional[Callable] = None
+) -> dict[Partition, int]:
+    """Decomposition of S_lam . S_mu as {nu: c^nu_{lam,mu}}, keys in
+    lexicographic descending order.
+
+    rows, the rank of the bundle receiving the product, keeps the nu of at
+    most that many rows (None keeps all).  Only candidates are counted: the
+    nu of the right size that contain lam and pass the content-prefix bound.
+    skip(nu), if given, sees each candidate in that order and drops it
+    before its count when it returns true."""
+    lam, mu = Partition(lam), Partition(mu)
+    most = len(lam) + len(mu)
+    rows = most if rows is None else min(rows, most)
     lam_rows = tuple(lam) + (0,) * (rows - len(lam))
     bound = []
     room = 0
     for r in range(rows):
         room += mu[r] if r < len(mu) else 0
         bound.append(room)
+    out = {}
     for nu in partitions_in_box(sum(lam) + sum(mu), rows, lam.part(0) + mu.part(0)):
         if len(nu) < len(lam):
             continue
         skew = 0
-        for width, first, most in zip(nu, lam_rows, bound):
+        for width, first, cap in zip(nu, lam_rows, bound):
             skew += width - first
-            if width < first or skew > most:
+            if width < first or skew > cap:
                 break
         else:
-            yield nu
-
-
-@lru_cache(maxsize=None)
-def _lr_product(lam: Partition, mu: Partition, rows: int) -> tuple:
-    """(nu, c^nu_{lam,mu}) with c > 0 for nu of at most `rows` rows, the rank of
-    the bundle receiving the product; len(lam) + len(mu) rows give them all."""
-    out = []
-    for nu in _lr_candidates(lam, mu, rows):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out.append((nu, c))
-    return tuple(out)
-
-
-def lr_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Decomposition of S_lam . S_mu as {nu: c^nu_{lam,mu}}, keys in
-    lexicographic descending order."""
-    lam, mu = Partition(lam), Partition(mu)
-    return dict(_lr_product(lam, mu, lam.length() + mu.length()))
+            if skip is not None and skip(nu):
+                continue
+            c = lr_coefficient(lam, mu, nu)
+            if c:
+                out[nu] = c
+    return out
 
 
 def cauchy_exterior(q: int) -> list[tuple[Partition, Partition]]:

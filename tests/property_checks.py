@@ -6,9 +6,9 @@ so that agreement between the two is meaningful evidence rather than a
 tautology.  The exceptions are the library's former code, kept as written:
 lr_coefficient_cells, the cell-by-cell LR backtracker, which shares no code
 with the flat kernel that replaced it and checks it on every small triple;
-and the two Hilbert-series routes before their vanishing pre-tests, which
+the two Hilbert-series routes before their vanishing pre-tests, which
 run every summand of the complete decomposition through Bott and the Weyl
-product.
+product; and the Koszul table that filters unbounded LR products by length.
 """
 
 from collections import Counter
@@ -17,11 +17,19 @@ from itertools import combinations, islice
 
 from kalmanres.bott import cohomology_of_summand
 from kalmanres.geometric import (
+    BettiTable,
     HilbertSeries,
     weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
-from kalmanres.partitions import Partition, dual_weight, is_weakly_decreasing, schur_rank
+from kalmanres.partitions import (
+    Partition,
+    dual_weight,
+    is_weakly_decreasing,
+    partitions_in_box,
+    schur_rank,
+)
+from kalmanres.schur import lr_product
 
 
 # -- semistandard tableaux ----------------------------------------------------
@@ -294,6 +302,30 @@ def hilbert_series_normalization_unfiltered(ctx):
                 total += summand.mult * chi * schur_rank(summand.nu_w, ctx.dim_w)
         coeffs[q] = total if q % 2 == 0 else -total
     return HilbertSeries(tuple(coeffs), ctx.n * ctx.n)
+
+
+# -- the Koszul strands from unbounded products --------------------------------
+
+
+def koszul_table_filtered(generators, ctx):
+    """koszul_table as it was before its products took a row bound: each
+    unbounded LR product, then every label of more than d resp. dim W rows
+    dropped."""
+    d, w = ctx.d, ctx.dim_w
+    table = BettiTable(ctx)
+    gens = [(Partition(lam), Partition(mu), int(c)) for (lam, mu, c) in generators]
+    for i in range(d * w + 1):
+        for nu in partitions_in_box(i, d, w):
+            nu_conj = nu.conjugate()
+            for lam, mu, c in gens:
+                for left, cl in lr_product(lam, nu).items():
+                    if left.length() > d:
+                        continue
+                    for right, cr in lr_product(mu, nu_conj).items():
+                        if right.length() > w:
+                            continue
+                        table.add(i, i + c, left, right, cl * cr)
+    return table
 
 
 # -- misc ---------------------------------------------------------------------

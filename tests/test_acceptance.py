@@ -1,15 +1,12 @@
-"""Acceptance gate: the twelve headline checks, one verdict line each.
+"""Acceptance gate: eleven headline checks, one verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 Every comparison is exact (integer or polynomial identity); the two timed
 checks must also meet their wall-clock budgets.
 """
 
-import subprocess
-import sys
 import time
 from math import comb
-from pathlib import Path
 
 from kalmanres.bott import GrassmannianContext
 from kalmanres.geometric import (
@@ -36,9 +33,6 @@ from kalmanres.resolutions import (
     table_s2_d3,
     table_w_line,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 
 def _report(num: int, name: str, ok: bool, extra: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -178,26 +172,3 @@ def test_11_numeric_hilbert_function_cross_check():
     ok = ok and elapsed < 300.0
     _report(11, "evaluation oracle vs symbolic series", ok, f"{elapsed:.1f}s < 300s")
 
-
-def test_12_property_suites_green():
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "pytest",
-            "-q",
-            "tests/test_partitions.py",
-            "tests/test_schur.py",
-            "tests/test_bott.py",
-            "tests/test_geometric.py",
-        ],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-    )
-    ok = result.returncode == 0
-    tail = result.stdout.strip().splitlines()[-1] if result.stdout.strip() else ""
-    if not ok:
-        print(result.stdout)
-        print(result.stderr, file=sys.stderr)
-    _report(12, "module property suites", ok, tail)

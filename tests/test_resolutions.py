@@ -31,6 +31,7 @@ from kalmanres.resolutions import (
     table_s2_d3,
     table_w_line,
 )
+from property_checks import koszul_table_filtered
 
 
 class TestCancellationSpec:
@@ -71,6 +72,15 @@ class TestKoszul:
         for i in range(dw + 1):
             assert table.rank(i) == 2 * comb(dw, i)
             assert table.degrees(i) == [i, i + 1]
+
+    def test_row_bounded_products_equal_the_filtered_oracle(self):
+        # the unbounded products of these generators hold 180 labels of more
+        # than d resp. dim W rows over these contexts, so the bound is used
+        gens = [((1, 1), (2,), 0), ((2, 1), (1, 1), 1)]
+        for d, n in [(2, 4), (2, 5), (3, 5)]:
+            ctx = GrassmannianContext(d, d, n)
+            for generators in (gens, [((), (), 1)]):
+                assert koszul_table(generators, ctx) == koszul_table_filtered(generators, ctx)
 
     def test_engine_gives_koszul_at_s_equals_d(self):
         # the degenerate Grassmannian is a point; the normalization table

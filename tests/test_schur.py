@@ -2,8 +2,8 @@ from functools import lru_cache
 from math import comb
 
 from kalmanres.partitions import Partition, partitions_in_box, partitions_of, schur_rank
+from kalmanres import schur
 from kalmanres.schur import (
-    _lr_product,
     cauchy_exterior,
     lr_coefficient,
     lr_product,
@@ -131,19 +131,21 @@ class TestLittlewoodRichardson:
                     assert lhs == schur_rank(lam, n) * schur_rank(mu, n)
 
     def test_row_bound_is_exact(self):
-        # _lr_product(lam, mu, r) is the monomial-peeling expansion cut at r
+        # lr_product(lam, mu, r) is the monomial-peeling expansion cut at r
         # rows, in lexicographic descending order, for |lam|, |mu| <= 4;
-        # s_lam s_mu = s_mu s_lam, so each unordered pair is expanded once
+        # rows=0 keeps only the empty partition; s_lam s_mu = s_mu s_lam, so
+        # each unordered pair is expanded once
         expand = lru_cache(maxsize=None)(schur_product_expansion)
         for lam in all_partitions_up_to(4):
             for mu in all_partitions_up_to(4):
                 full = expand(*sorted((tuple(lam), tuple(mu))))
-                for r in range(1, lam.length() + mu.length() + 1):
+                for r in range(lam.length() + mu.length() + 2):
                     expected = sorted(
                         ((nu, c) for nu, c in full.items() if len(nu) <= r), reverse=True
                     )
-                    got = [(tuple(nu), c) for nu, c in _lr_product(lam, mu, r)]
+                    got = [(tuple(nu), c) for nu, c in lr_product(lam, mu, r).items()]
                     assert got == expected, (lam, mu, r)
+                assert lr_product(lam, mu) == lr_product(lam, mu, lam.length() + mu.length())
 
     def test_against_cell_backtracking_oracle(self):
         # the flat kernel against the former cell-by-cell backtracker for
@@ -158,7 +160,7 @@ class TestLittlewoodRichardson:
                     )
 
     def test_prefix_prune_keeps_every_nonzero_nu(self):
-        # _lr_product skips nu failing the content-prefix bound; the scan
+        # lr_product skips nu failing the content-prefix bound; the scan
         # without it, filtered by the oracle, gives the same pairs in order
         for lam in all_partitions_up_to(6):
             for mu in all_partitions_up_to(6):
@@ -169,7 +171,43 @@ class TestLittlewoodRichardson:
                         c = lr_coefficient_cells(lam, mu, nu)
                         if c:
                             expected.append((nu, c))
-                    assert list(_lr_product(lam, mu, r)) == expected, (lam, mu, r)
+                    assert list(lr_product(lam, mu, r).items()) == expected, (lam, mu, r)
+
+    def test_skip_sees_exactly_the_candidates_and_none_it_drops_is_counted(self, monkeypatch):
+        # the candidates of r rows have size |lam| + |mu|, contain lam, and
+        # rows 0..k of nu/lam hold at most mu_1 + ... + mu_{k+1} cells; skip
+        # sees them in lexicographic descending order, here dropping every
+        # second one, and only the others reach lr_coefficient
+        counted = []
+        count = schur.lr_coefficient
+
+        def counting(lam, mu, nu):
+            counted.append(nu)
+            return count(lam, mu, nu)
+
+        monkeypatch.setattr(schur, "lr_coefficient", counting)
+        for lam in all_partitions_up_to(5):
+            for mu in all_partitions_up_to(5):
+                total, cols = lam.size() + mu.size(), lam.part(0) + mu.part(0)
+                for r in range(lam.length() + mu.length() + 1):
+                    candidates = [
+                        nu
+                        for nu in partitions_in_box(total, r, cols)
+                        if all(nu.part(k) >= lam.part(k) for k in range(r))
+                        and all(
+                            sum(nu[: k + 1]) - sum(lam[: k + 1]) <= sum(mu[: k + 1])
+                            for k in range(r)
+                        )
+                    ]
+                    seen = []
+                    counted.clear()
+                    got = lr_product(lam, mu, r, skip=lambda nu: seen.append(nu) or len(seen) % 2 == 0)
+                    assert seen == candidates, (lam, mu, r)
+                    assert counted == seen[0::2], (lam, mu, r)
+                    kept = set(seen[0::2])
+                    assert got == {
+                        nu: c for nu, c in lr_product(lam, mu, r).items() if nu in kept
+                    }, (lam, mu, r)
 
     def test_product_keys_sorted(self):
         out = lr_product(Partition((2, 1)), Partition((2, 1)))
