@@ -54,11 +54,6 @@ class GrassmannianContext:
         return self.n - self.d
 
     @property
-    def dim(self) -> int:
-        """Dimension of the Grassmannian itself."""
-        return self.s * (self.d - self.s)
-
-    @property
     def xi_rank(self) -> int:
         """Rank of the bundle R tensor (Q* + W)."""
         return self.s * (self.d - self.s) + self.s * (self.n - self.d)

@@ -113,9 +113,13 @@ class BettiTable:
     # -- construction ------------------------------------------------------
 
     def add(self, i: int, e: int, lam: Partition, mu: Partition, mult: int = 1) -> None:
+        """Raises on a summand of rank zero (lam over d rows, mu over dim W)."""
         if mult <= 0:
             raise ValueError("multiplicity must be positive")
-        self._data[(i, e, Partition(lam), Partition(mu))] += mult
+        lam, mu = Partition(lam), Partition(mu)
+        if len(lam) > self.ctx.d or len(mu) > self.ctx.dim_w:
+            raise ValueError(f"rank-zero summand {lam!r}, {mu!r} over {self.ctx}")
+        self._data[(i, e, lam, mu)] += mult
 
     def add_nonzero(self, i: int, e: int, lam, mu, mult: int = 1) -> None:
         """add(), but silently drop summands of rank zero (too many rows for
@@ -152,9 +156,6 @@ class BettiTable:
 
     def multiplicity(self, i: int, e: int, lam, mu) -> int:
         return self._data[(i, e, Partition(lam), Partition(mu))]
-
-    def counter(self, i: int, e: int) -> Counter:
-        return Counter({key[2:]: m for key, m in self._data.items() if key[:2] == (i, e)})
 
     def homological_indices(self) -> list[int]:
         return sorted({key[0] for key in self._data})

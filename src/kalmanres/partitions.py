@@ -34,9 +34,6 @@ class Partition(tuple):
             raise ValueError(f"parts must be nonnegative: {parts}")
         return super().__new__(cls, parts)
 
-    def size(self) -> int:
-        return sum(self)
-
     def length(self) -> int:
         return len(self)
 

@@ -65,9 +65,10 @@ def mapping_cone(
     comparison map is an isomorphism.
 
     Output index i collects (ambient_i minus matched) plus (quotient_{i+1}
-    minus matched); quotient_0 leftovers land at index -1, which callers
-    treat as an error in their own validation (a genuine kernel resolution
-    has none).  Every matched entry must exist in both tables at its (i, e).
+    minus matched).  Quotient generators that the spec leaves uncancelled
+    land at index -1; a genuine kernel resolution has none, and the shipped
+    specs leave none.  Every matched entry must exist in both tables at its
+    (i, e).
     """
     if (ambient.ctx.d, ambient.ctx.n) != (quotient.ctx.d, quotient.ctx.n):
         raise ValueError("tables live over different polynomial rings")
@@ -113,34 +114,13 @@ def table_s1(d: int, n: int) -> BettiTable:
     return t
 
 
-def table_s2_d3(n: int) -> BettiTable:
-    """Indices 0..3 of the (s,d) = (2,3) normalization table, stated for
-    large n and rank-pruned down to the given n."""
-    if n <= 3:
-        raise ValueError("need n > 3")
-    ctx = GrassmannianContext(2, 3, n)
-    t = BettiTable(ctx)
-    data = [
-        (0, 0, (), ()), (0, 1, (), ()), (0, 2, (), ()),
-        (1, 2, (1, 1), (1, 1)), (1, 2, (1,), (1,)), (1, 3, (1,), (1,)),
-        (2, 3, (2, 1), (1, 1, 1)), (2, 3, (1, 1, 1), (2, 1)), (2, 3, (2,), (1, 1)),
-        (2, 4, (2,), (1, 1)), (2, 4, (1, 1), (2,)), (2, 4, (1, 1, 1), (2, 1)),
-        (3, 4, (3, 1), (1, 1, 1, 1)), (3, 4, (2, 1, 1), (2, 1, 1)), (3, 4, (3,), (1, 1, 1)),
-        (3, 5, (2, 1, 1), (2, 1, 1)), (3, 5, (2, 1, 1), (2, 2)), (3, 5, (3,), (1, 1, 1)),
-        (3, 5, (2, 1), (2, 1)),
-    ]
-    for i, e, lam, mu in data:
-        t.add_nonzero(i, e, lam, mu)
-    return t
-
-
 def table_corank1(d: int, n: int) -> BettiTable:
     """Indices 0..2 of the s = d-1 normalization table (characteristic-0
-    statement), rank-pruned to the given n.
+    statement), stated for large n and rank-pruned down to the given n.
 
     Includes the two degree-3 index-2 families (2,1; 1^3) and (1^3; 2,1)
-    that the a=0 weight walk produces at q=3; the d=3 specialization agrees
-    with table_s2_d3 and with the rank data of the machine calculation.
+    that the a=0 weight walk produces at q=3.  table_s2_d3 extends the d=3
+    case by its index-3 entries.
     """
     if not 2 <= d < n:
         raise ValueError("need 2 <= d < n")
@@ -161,6 +141,21 @@ def table_corank1(d: int, n: int) -> BettiTable:
     return t
 
 
+def table_s2_d3(n: int) -> BettiTable:
+    """Indices 0..3 of the (s,d) = (2,3) normalization table: the corank-one
+    table at d = 3 plus its index-3 entries, rank-pruned to the given n."""
+    if n <= 3:
+        raise ValueError("need n > 3")
+    t = table_corank1(3, n)
+    for e, lam, mu in [
+        (4, (3, 1), (1, 1, 1, 1)), (4, (2, 1, 1), (2, 1, 1)), (4, (3,), (1, 1, 1)),
+        (5, (2, 1, 1), (2, 1, 1)), (5, (2, 1, 1), (2, 2)), (5, (3,), (1, 1, 1)),
+        (5, (2, 1), (2, 1)),
+    ]:
+        t.add_nonzero(3, e, lam, mu)
+    return t
+
+
 def table_w_line(s: int, d: int) -> BettiTable:
     """Full normalization table in the n = d+1 corner (W is a line):
     F_i = sum over partitions lam inside an (s-i) x (d-s) box of
@@ -171,12 +166,8 @@ def table_w_line(s: int, d: int) -> BettiTable:
     ctx = GrassmannianContext(s, d, n)
     t = BettiTable(ctx)
     for i in range(s + 1):
-        counts: dict[int, int] = {}
         for m in range((s - i) * (d - s) + 1):
-            k = len(partitions_in_box(m, s - i, d - s))
-            if k:
-                counts[m] = k
-        for m, k in counts.items():
+            k = len(partitions_in_box(m, s - i, d - s))  # >= 1: the box holds size m
             t.add(i, i * (d - s + 1) + m, (1,) * i, (i,) if i else (), k)
     return t
 
@@ -331,9 +322,11 @@ def conjecture_consistency(d: int, n: int) -> ConjectureReport:
 
     For d <= 3 the coordinate ring has a proven resolution route, so the
     report carries the residual (prediction minus actual), which must be the
-    zero series.  For d >= 4 only the prediction is returned; in the n = d+1
-    corner the telescoping submodule recursion is replayed against the
-    closed-form tables as a plumbing check.
+    zero series.  For d >= 4 only the prediction is returned.  At n = d+1,
+    telescope_ok compares each closed form T_s = table_w_line(s, d) with the
+    Euler-route series N_s, s = 1..d: replaying 0 -> C_s -> N_s -> C_{s+1}(-s)
+    -> 0 downward from C_{d+1} = 0 on the T_s gives sum (-1)^{s+1} T_s
+    t^{s(s-1)/2}, which is the prediction whenever every T_s = N_s.
     """
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
@@ -348,15 +341,9 @@ def conjecture_consistency(d: int, n: int) -> ConjectureReport:
     elif d == 3:
         residual = prediction - hilbert_series(kalman_cone_d3(n))
     elif n == d + 1:
-        # replay 0 -> C_s -> normalization_s -> C_{s+1}(-s) -> 0 downward,
-        # sourcing each normalization from the closed form and checking it
-        # against the Euler-characteristic route
-        ok = True
-        tail = HilbertSeries((), n * n)  # C_{d+1} = 0
-        for s in range(d, 0, -1):
-            ctx = GrassmannianContext(s, d, n)
-            closed = hilbert_series(table_w_line(s, d))
-            ok = ok and closed == hilbert_series_normalization(ctx)
-            tail = closed - tail.shift(s)  # now C_s
-        telescope_ok = ok and tail == prediction
+        telescope_ok = all(
+            hilbert_series(table_w_line(s, d))
+            == hilbert_series_normalization(GrassmannianContext(s, d, n))
+            for s in range(1, d + 1)
+        )
     return ConjectureReport(d, n, prediction, residual, telescope_ok)

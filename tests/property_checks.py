@@ -8,7 +8,8 @@ lr_coefficient_cells, the cell-by-cell LR backtracker, which shares no code
 with the flat kernel that replaced it and checks it on every small triple;
 the two Hilbert-series routes before their vanishing pre-tests, which
 run every summand of the complete decomposition through Bott and the Weyl
-product; and the Koszul table that filters unbounded LR products by length.
+product; the Koszul table that filters unbounded LR products by length; and
+the downward replay of the inductive sequence in the n = d+1 corner.
 """
 
 from collections import Counter
@@ -19,6 +20,7 @@ from kalmanres.bott import cohomology_of_summand
 from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
+    hilbert_series,
     weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
@@ -29,6 +31,7 @@ from kalmanres.partitions import (
     partitions_in_box,
     schur_rank,
 )
+from kalmanres.resolutions import table_w_line
 from kalmanres.schur import lr_product
 
 
@@ -226,7 +229,7 @@ def lr_coefficient_cells(lam: Partition, mu: Partition, nu: Partition) -> int:
     condition prunes as we go.
     """
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if nu.size() != lam.size() + mu.size():
+    if sum(nu) != sum(lam) + sum(mu):
         return 0
     for inner in (lam, mu):
         if len(inner) > len(nu) or any(a < b for a, b in zip(nu, inner)):
@@ -326,6 +329,18 @@ def koszul_table_filtered(generators, ctx):
                             continue
                         table.add(i, i + c, left, right, cl * cr)
     return table
+
+
+# -- the inductive sequence replayed in the n = d+1 corner ----------------------
+
+
+def replayed_w_line_prediction(d):
+    """Replay 0 -> C_s -> N_s -> C_{s+1}(-s) -> 0 downward from C_{d+1} = 0,
+    taking each N_s from the closed-form table_w_line(s, d); returns C_1."""
+    tail = HilbertSeries((), (d + 1) ** 2)
+    for s in range(d, 0, -1):
+        tail = hilbert_series(table_w_line(s, d)) - tail.shift(s)
+    return tail
 
 
 # -- misc ---------------------------------------------------------------------

@@ -51,8 +51,8 @@ class TestXiDecomposition:
         ctx = GrassmannianContext(2, 3, 6)
         for q in range(ctx.xi_rank + 1):
             for s in xi_exterior_decomposition(ctx, q):
-                assert s.lambda_r.size() == s.mu_qstar.size() + s.nu_w.size()
-                assert s.lambda_r.size() == q
+                assert sum(s.lambda_r) == sum(s.mu_qstar) + sum(s.nu_w)
+                assert sum(s.lambda_r) == q
                 assert s.lambda_r.length() <= ctx.rank_sub
                 assert s.mult > 0
 
@@ -189,6 +189,18 @@ class TestBettiTable:
         assert t == BettiTable(t.ctx)
         t.add_nonzero(0, 0, (1, 1), (1, 1))
         assert t != BettiTable(t.ctx)
+
+    def test_add_rejects_rank_zero_labels(self):
+        # add raises where add_nonzero drops: more than d = 2 rows for lam,
+        # more than dim W = 2 rows for mu
+        t = BettiTable(GrassmannianContext(1, 2, 4))
+        with pytest.raises(ValueError):
+            t.add(0, 0, (1, 1, 1), ())
+        with pytest.raises(ValueError):
+            t.add(0, 0, (), (1, 1, 1))
+        t.add_nonzero(0, 0, (1, 1, 1), ())
+        t.add_nonzero(0, 0, (), (1, 1, 1))
+        assert len(t) == 0
 
     def test_subtract_and_underflow(self):
         t = self.make()
@@ -387,7 +399,7 @@ class TestResolutionEngine:
             got = sum(
                 s.rank(ctx)
                 for s in xi_exterior_decomposition(ctx, q)
-                if s.mu_qstar.size() == 0
+                if sum(s.mu_qstar) == 0
             )
             assert got == comb(ctx.rank_sub * ctx.dim_w, q)
 

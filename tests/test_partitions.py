@@ -57,7 +57,7 @@ class TestPartitionType:
 
     def test_basic_accessors(self):
         lam = Partition((4, 2, 1))
-        assert lam.size() == 7
+        assert sum(lam) == 7
         assert lam.length() == 3
         assert lam.part(0) == 4
         assert lam.part(2) == 1
@@ -163,7 +163,7 @@ class TestPartitionEnumeration:
                     assert sorted(out, reverse=True) == out
                     assert len(set(out)) == len(out)
                     for lam in out:
-                        assert lam.size() == q
+                        assert sum(lam) == q
                         assert lam.length() <= r
                         assert lam.part(0) <= c
 

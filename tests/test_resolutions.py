@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from kalmanres import cli, resolutions
 from kalmanres.bott import GrassmannianContext
 from kalmanres.geometric import (
     BettiTable,
@@ -31,7 +32,12 @@ from kalmanres.resolutions import (
     table_s2_d3,
     table_w_line,
 )
-from property_checks import koszul_table_filtered
+from property_checks import koszul_table_filtered, replayed_w_line_prediction
+
+
+def _at(table, i, e):
+    """The (lam, mu) -> multiplicity entries of a table at (i, e)."""
+    return {(lam, mu): m for j, f, lam, mu, m in table.entries() if (j, f) == (i, e)}
 
 
 class TestCancellationSpec:
@@ -63,7 +69,7 @@ class TestKoszul:
     def test_i0_is_single_twist(self):
         ctx = GrassmannianContext(3, 3, 6)
         table = koszul_table([((), (), 4)], ctx)
-        assert list(table.counter(0, 4).items()) == [((Partition(()), Partition(())), 1)]
+        assert list(_at(table, 0, 4).items()) == [((Partition(()), Partition(())), 1)]
 
     def test_two_strands(self):
         ctx = GrassmannianContext(2, 2, 5)
@@ -257,6 +263,15 @@ class TestClosedForms:
             table_w_line(3, 2)
 
 
+class TestCones:
+    def test_no_uncancelled_quotient_generators(self):
+        # mapping_cone puts quotient generators the spec leaves uncancelled
+        # at index -1; the shipped specs leave none
+        for n in range(4, 11):
+            for cone in (cone_table_d2, intermediate_table_d3, kalman_cone_d3):
+                assert min(cone(n).homological_indices()) >= 0, (cone.__name__, n)
+
+
 class TestD2Pipeline:
     def test_cone_matches_closed_form(self):
         for n in (4, 5, 6, 7, 8):
@@ -292,10 +307,10 @@ class TestD3Pipeline:
     def test_intermediate_first_two_steps(self):
         for n in (6, 7, 8):
             t = intermediate_table_d3(n)
-            assert dict(t.counter(0, 0)) == {(Partition(()), Partition(())): 1}
-            assert dict(t.counter(0, 1)) == {(Partition(()), Partition(())): 1}
+            assert _at(t, 0, 0) == {(Partition(()), Partition(())): 1}
+            assert _at(t, 0, 1) == {(Partition(()), Partition(())): 1}
             assert t.degrees(0) == [0, 1]
-            assert dict(t.counter(1, 2)) == {
+            assert _at(t, 1, 2) == {
                 (Partition((1, 1)), Partition((1, 1))): 1,
                 (Partition((1,)), Partition((1,))): 1,
             }
@@ -303,13 +318,13 @@ class TestD3Pipeline:
 
     def test_intermediate_second_syzygies(self):
         t = intermediate_table_d3(7)
-        assert dict(t.counter(2, 3)) == {
+        assert _at(t, 2, 3) == {
             (Partition((2, 1)), Partition((1, 1, 1))): 1,
             (Partition((2,)), Partition((1, 1))): 1,
             (Partition((1, 1, 1)), Partition((2, 1))): 1,
         }
-        assert dict(t.counter(2, 4)) == {(Partition((1, 1, 1)), Partition((2, 1))): 1}
-        assert dict(t.counter(2, 5)) == {(Partition((1, 1, 1)), Partition((3,))): 1}
+        assert _at(t, 2, 4) == {(Partition((1, 1, 1)), Partition((2, 1))): 1}
+        assert _at(t, 2, 5) == {(Partition((1, 1, 1)), Partition((3,))): 1}
 
     def test_intermediate_claims_metadata(self):
         # recorded values for the intermediate d=3 module, not recomputed
@@ -399,6 +414,27 @@ class TestConjecture:
             assert report.residual is None
             assert not report.consistent  # no proven route; prediction only
             assert report.telescope_ok is True
+
+    def test_replay_equals_prediction(self):
+        # the downward replay over the closed forms lands on the prediction,
+        # so comparing each closed form with its Euler route is the check
+        for d in range(2, 8):
+            assert replayed_w_line_prediction(d) == predicted_hilbert_series(d, d + 1), d
+
+    def test_telescope_fails_on_a_dropped_entry(self, monkeypatch, capsys):
+        closed_form = resolutions.table_w_line
+
+        def dropping(s, d):
+            t = closed_form(s, d)
+            if s == 2:
+                i, e, lam, mu, _ = next(t.entries())
+                t.subtract(i, e, lam, mu)
+            return t
+
+        monkeypatch.setattr(resolutions, "table_w_line", dropping)
+        assert conjecture_consistency(4, 5).telescope_ok is False
+        assert cli.main(["conjecture", "--d", "4", "--n", "5"]) == cli.MISMATCH
+        assert "telescoping cross-check: False" in capsys.readouterr().out
 
     def test_prediction_only_away_from_corner(self):
         report = conjecture_consistency(4, 7)

@@ -152,7 +152,7 @@ class TestLittlewoodRichardson:
         # every |lam|, |mu| <= 6 and every nu of |lam| + |mu| (33,451 triples)
         for lam in all_partitions_up_to(6):
             for mu in all_partitions_up_to(6):
-                for nu in partitions_of(lam.size() + mu.size()):
+                for nu in partitions_of(sum(lam) + sum(mu)):
                     assert lr_coefficient(lam, mu, nu) == lr_coefficient_cells(lam, mu, nu), (
                         lam,
                         mu,
@@ -164,7 +164,7 @@ class TestLittlewoodRichardson:
         # without it, filtered by the oracle, gives the same pairs in order
         for lam in all_partitions_up_to(6):
             for mu in all_partitions_up_to(6):
-                total, cols = lam.size() + mu.size(), lam.part(0) + mu.part(0)
+                total, cols = sum(lam) + sum(mu), lam.part(0) + mu.part(0)
                 for r in range(lam.length() + mu.length() + 1):
                     expected = []
                     for nu in partitions_in_box(total, r, cols):
@@ -188,7 +188,7 @@ class TestLittlewoodRichardson:
         monkeypatch.setattr(schur, "lr_coefficient", counting)
         for lam in all_partitions_up_to(5):
             for mu in all_partitions_up_to(5):
-                total, cols = lam.size() + mu.size(), lam.part(0) + mu.part(0)
+                total, cols = sum(lam) + sum(mu), lam.part(0) + mu.part(0)
                 for r in range(lam.length() + mu.length() + 1):
                     candidates = [
                         nu
