@@ -97,17 +97,15 @@ def table_s1(d: int, n: int) -> BettiTable:
     """Full Betti table of the s=1 normalization, in closed form.
 
     F_0 = A + A(-1) + ... + A(-d+1); F_i for 1 <= i <= n-d collects
-    (i,1^{d-a-1}; 1^{i+d-a-1}) at degree i+d-1, a running from
-    max(0, i+2d-1-n) to d-1.
+    (i,1^{d-a-1}; 1^{i+d-a-1}) at degree i+d-1 for a = 0..d-1, rank-pruned
+    to the given n (a >= i+2d-1-n survive).
     """
-    if not 1 <= d < n:
-        raise ValueError("need 1 <= d < n")
     ctx = GrassmannianContext(1, d, n)
     t = BettiTable(ctx)
     for j in range(d):
         t.add(0, j, (), ())
     for i in range(1, n - d + 1):
-        for a in range(max(0, i + 2 * d - 1 - n), d):
+        for a in range(d):
             lam = (i,) + (1,) * (d - a - 1)
             mu = (1,) * (i + d - a - 1)
             t.add_nonzero(i, i + d - 1, lam, mu)
@@ -122,8 +120,6 @@ def table_corank1(d: int, n: int) -> BettiTable:
     that the a=0 weight walk produces at q=3.  table_s2_d3 extends the d=3
     case by its index-3 entries.
     """
-    if not 2 <= d < n:
-        raise ValueError("need 2 <= d < n")
     ctx = GrassmannianContext(d - 1, d, n)
     t = BettiTable(ctx)
     for j in range(d):
@@ -144,8 +140,6 @@ def table_corank1(d: int, n: int) -> BettiTable:
 def table_s2_d3(n: int) -> BettiTable:
     """Indices 0..3 of the (s,d) = (2,3) normalization table: the corank-one
     table at d = 3 plus its index-3 entries, rank-pruned to the given n."""
-    if n <= 3:
-        raise ValueError("need n > 3")
     t = table_corank1(3, n)
     for e, lam, mu in [
         (4, (3, 1), (1, 1, 1, 1)), (4, (2, 1, 1), (2, 1, 1)), (4, (3,), (1, 1, 1)),
@@ -160,10 +154,7 @@ def table_w_line(s: int, d: int) -> BettiTable:
     """Full normalization table in the n = d+1 corner (W is a line):
     F_i = sum over partitions lam inside an (s-i) x (d-s) box of
     (1^i; i) at degree i(d-s+1) + |lam|."""
-    n = d + 1
-    if not 1 <= s <= d:
-        raise ValueError("need 1 <= s <= d")
-    ctx = GrassmannianContext(s, d, n)
+    ctx = GrassmannianContext(s, d, d + 1)
     t = BettiTable(ctx)
     for i in range(s + 1):
         for m in range((s - i) * (d - s) + 1):
@@ -182,8 +173,6 @@ def kalman_table_d2(n: int) -> BettiTable:
     invariant-subspace variety: F_0 = A; F_i carries (i,1; 1^{i+1}) at
     degree i+1 plus all two-row lam of size i+1 except (i+1) at degree i+2,
     for 1 <= i <= 2n-5."""
-    if n < 4:
-        raise ValueError("need n >= 4")
     ctx = GrassmannianContext(1, 2, n)
     t = BettiTable(ctx)
     t.add(0, 0, (), ())
@@ -207,8 +196,6 @@ def d2_cancellations(n: int) -> BettiTable:
 def cone_table_d2(n: int) -> BettiTable:
     """The d=2 variety resolution assembled by the mapping cone: normalization
     table over the twist-1 Koszul strand, with the shipped cancellations."""
-    if n < 4:
-        raise ValueError("need n >= 4")
     ambient = resolution_terms(GrassmannianContext(1, 2, n))
     quotient = koszul_table([((), (), 1)], GrassmannianContext(2, 2, n))
     return mapping_cone(ambient, quotient, d2_cancellations(n))
@@ -236,8 +223,6 @@ def d3_stage1_cancellations(n: int) -> BettiTable:
 def intermediate_table_d3(n: int) -> BettiTable:
     """Resolution of the degree-(0,1)-generated submodule of the (2,3,n)
     normalization: cone of its resolution over the twist-2 Koszul strand."""
-    if n < 4:
-        raise ValueError("need n >= 4")
     ambient = resolution_terms(GrassmannianContext(2, 3, n))
     quotient = koszul_table([((), (), 2)], GrassmannianContext(3, 3, n))
     return mapping_cone(ambient, quotient, d3_stage1_cancellations(n))
@@ -261,8 +246,6 @@ def kalman_cone_d3(n: int) -> BettiTable:
     """Betti table of the d=3, s=1 variety's coordinate ring via the
     two-stage cone: the s=1 normalization over the twisted intermediate
     module.  Index 1 gives the ideal's minimal generators."""
-    if n < 4:
-        raise ValueError("need n >= 4")
     ambient = resolution_terms(GrassmannianContext(1, 3, n))
     quotient = intermediate_table_d3(n).twist(1)
     return mapping_cone(ambient, quotient, d3_stage2_cancellations(n))
@@ -271,6 +254,7 @@ def kalman_cone_d3(n: int) -> BettiTable:
 def kalman_equations_d3(n: int) -> list:
     """Minimal generators of the d=3, s=1 variety's ideal as
     (lam_L, mu_W, degree) triples, rank-pruned to the given n."""
+    # builds no context, so it checks its own range
     if n < 4:
         raise ValueError("need n >= 4")
     data = [
@@ -309,6 +293,8 @@ def predicted_hilbert_series(d: int, n: int) -> HilbertSeries:
     """Alternating sum over s = 1..d of the conjectured exact sequence's
     modules: the normalization for subspace dimension s, twisted by
     s(s-1)/2."""
+    if not 1 <= d < n:
+        raise ValueError("need 1 <= d < n")
     total = HilbertSeries((), n * n)
     for s in range(1, d + 1):
         term = hilbert_series_normalization(GrassmannianContext(s, d, n)).shift(s * (s - 1) // 2)
@@ -328,8 +314,6 @@ def conjecture_consistency(d: int, n: int) -> ConjectureReport:
     -> 0 downward from C_{d+1} = 0 on the T_s gives sum (-1)^{s+1} T_s
     t^{s(s-1)/2}, which is the prediction whenever every T_s = N_s.
     """
-    if not 1 <= d < n:
-        raise ValueError("need 1 <= d < n")
     prediction = predicted_hilbert_series(d, n)
     residual = None
     telescope_ok = None

@@ -147,6 +147,11 @@ class TestConjecture:
         assert code == OK
         assert payload["residual_numerator"] == []
 
+    def test_zero_residual_d2_at_n3(self, capsys):
+        code, payload = run_json(capsys, ["conjecture", "--d", "2", "--n", "3"])
+        assert code == OK
+        assert payload["residual_numerator"] == []
+
     def test_prediction_with_telescope_d4(self, capsys):
         code, payload = run_json(capsys, ["conjecture", "--d", "4", "--n", "5"])
         assert code == OK
@@ -233,6 +238,8 @@ class TestVerify:
             ["verify", "prop-ndp1"],
             ["verify", "inductive-d2", "--n", "5"],
             ["verify", "inductive-d3", "--n", "5"],
+            ["verify", "thm-3-3", "--n", "3"],
+            ["verify", "inductive-d2", "--n", "3"],
         ],
     )
     def test_narrowed_golden_checks(self, capsys, argv):

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -274,13 +275,13 @@ class TestCones:
 
 class TestD2Pipeline:
     def test_cone_matches_closed_form(self):
-        for n in (4, 5, 6, 7, 8):
+        for n in (3, 4, 5, 6, 7, 8):
             cone = cone_table_d2(n)
             closed = kalman_table_d2(n)
             assert cone == closed, (n, cone.diff(closed))
 
     def test_homological_extremes(self):
-        for n in (4, 5, 6):
+        for n in (3, 4, 5, 6):
             t = kalman_table_d2(n)
             assert t.proj_dim() == 2 * n - 5
             assert t.regularity() == 2
@@ -298,9 +299,22 @@ class TestD2Pipeline:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            kalman_table_d2(3)
+            kalman_table_d2(2)
         with pytest.raises(ValueError):
-            cone_table_d2(3)
+            cone_table_d2(2)
+
+    def test_n3_cubic_hypersurface(self):
+        # at n = 3 the ideal is one cubic, det[gamma; gamma alpha] = 0
+        assert list(kalman_table_d2(3).entries()) == [(0, 0, (), (), 1), (1, 3, (1, 1), (2,), 1)]
+        assert conjecture_consistency(2, 3).consistent
+
+    def test_n3_series_matches_the_evaluation_oracle(self):
+        from kalmanres.kalman import numeric_hilbert_function
+
+        series = hilbert_series(kalman_table_d2(3))
+        hf = numeric_hilbert_function(1, 2, 3, k_max=5, seed=0)
+        assert hf == [series.coefficient(k) for k in range(6)]
+        assert hf == [1, 9, 45, 164, 486, 1242]
 
 
 class TestD3Pipeline:
@@ -365,6 +379,42 @@ class TestD3Pipeline:
         assert len(kalman_equations_d3(4)) == 1
         assert len(kalman_equations_d3(5)) == 3  # (1^3;1^3) needs 3 rows of W
         assert len(kalman_equations_d3(6)) == 4
+
+
+def _refuses(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+# entry point -> the (s, d, n) of the context its range rests on
+_CONTEXT_OF = {
+    table_s1: lambda d, n: (1, d, n),
+    table_corank1: lambda d, n: (d - 1, d, n),
+    table_s2_d3: lambda n: (2, 3, n),
+    table_w_line: lambda s, d: (s, d, d + 1),
+    kalman_table_d2: lambda n: (1, 2, n),
+    d2_cancellations: lambda n: (1, 2, n),
+    cone_table_d2: lambda n: (1, 2, n),
+    d3_stage1_cancellations: lambda n: (2, 3, n),
+    intermediate_table_d3: lambda n: (2, 3, n),
+    d3_stage2_cancellations: lambda n: (1, 3, n),
+    kalman_cone_d3: lambda n: (1, 3, n),
+    kalman_equations_d3: lambda n: (1, 3, n),
+    predicted_hilbert_series: lambda d, n: (1, d, n),
+    conjecture_consistency: lambda d, n: (1, d, n),
+}
+
+
+@pytest.mark.parametrize("fn", list(_CONTEXT_OF), ids=lambda fn: fn.__name__)
+def test_refuses_exactly_where_its_context_does(fn):
+    # every argument runs over -1..7; the context is the one range check
+    context_of = _CONTEXT_OF[fn]
+    for args in product(range(-1, 8), repeat=context_of.__code__.co_argcount):
+        expected = _refuses(GrassmannianContext, *context_of(*args))
+        assert _refuses(fn, *args) == expected, (fn.__name__, args)
 
 
 class TestDegreeWindow:
