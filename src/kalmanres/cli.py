@@ -46,10 +46,12 @@ TRIAL_CHUNK = 64  # trials kalman-test samples and tests at once; bounds its mem
 
 
 def _emit(payload: dict, as_json: bool, human_lines) -> None:
+    """Print the payload as JSON, or else the lines human_lines() returns:
+    the text is built only when it is printed."""
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
-        for line in human_lines:
+        for line in human_lines():
             print(line)
 
 
@@ -71,14 +73,8 @@ def _cmd_betti(args) -> int:
     payload["proj_dim"] = table.proj_dim()
     payload["regularity"] = table.regularity()
     payload["status"] = "ok"
-    _emit(
-        payload,
-        args.json,
-        [
-            table.render(),
-            f"proj_dim = {table.proj_dim()}  regularity = {table.regularity()}",
-        ],
-    )
+    summary = f"proj_dim = {payload['proj_dim']}  regularity = {payload['regularity']}"
+    _emit(payload, args.json, lambda: [table.render(), summary])
     return OK
 
 
@@ -104,7 +100,7 @@ def _cmd_cohomology(args) -> int:
         lines.append(f"H^{j} total rank = {total}")
     if not coh:
         lines.append("no cohomology")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: lines)
     return OK
 
 
@@ -120,7 +116,7 @@ def _cmd_hilbert(args) -> int:
         "routes_agree": agree,
         "status": "ok" if agree else "mismatch",
     }
-    _emit(payload, args.json, [str(direct), f"double-computation agreement: {agree}"])
+    _emit(payload, args.json, lambda: [str(direct), f"double-computation agreement: {agree}"])
     return OK if agree else MISMATCH
 
 
@@ -145,7 +141,7 @@ def _cmd_conjecture(args) -> int:
             lines.append(f"telescoping cross-check: {report.telescope_ok}")
             status = OK if report.telescope_ok else MISMATCH
     payload["status"] = "ok" if status == OK else "mismatch"
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: lines)
     return status
 
 
@@ -173,7 +169,7 @@ def _cmd_kalman_test(args) -> int:
     _emit(
         payload,
         args.json,
-        [
+        lambda: [
             f"membership soundness: {sound}/{args.trials}",
             f"generic points with a nonzero {k}x{k} minor: "
             f"{generic_nonzero}/{args.trials}",
@@ -194,7 +190,7 @@ def _cmd_codim(args) -> int:
         "expected": expected,
         "status": "ok" if rank == expected else "mismatch",
     }
-    _emit(payload, args.json, [f"jacobian rank {rank}, expected s(n-d) = {expected}"])
+    _emit(payload, args.json, lambda: [f"jacobian rank {rank}, expected s(n-d) = {expected}"])
     return OK if rank == expected else MISMATCH
 
 
@@ -209,7 +205,7 @@ def _cmd_hf(args) -> int:
         "hilbert_function": hf,
         "status": "ok",
     }
-    _emit(payload, args.json, [f"HF(0..{args.kmax}) = {hf}"])
+    _emit(payload, args.json, lambda: [f"HF(0..{args.kmax}) = {hf}"])
     return OK
 
 
@@ -357,7 +353,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"verify {args.id} runs no case with --d {args.d} --n {args.n}")
     ok = all(c["ok"] for c in cases)
     payload = {"id": args.id, "status": "ok" if ok else "mismatch", "cases": cases}
-    _emit(payload, args.json, lines + [f"verify {args.id}: {'OK' if ok else 'MISMATCH'}"])
+    _emit(payload, args.json, lambda: lines + [f"verify {args.id}: {'OK' if ok else 'MISMATCH'}"])
     return OK if ok else MISMATCH
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -382,6 +383,7 @@ def _weyl_product_vanishes(mu_qstar: Partition, ctx: GrassmannianContext) -> Cal
     return vanishes
 
 
+@lru_cache(maxsize=None)
 def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     """Hilbert series of the normalization, computed directly as
     sum_q (-t)^q chi(wedge^q xi) with chi through the Weyl dimension product.

@@ -47,6 +47,7 @@ class Partition(tuple):
             raise ValueError(f"cannot pad {self!r} to length {n}")
         return tuple(self) + (0,) * (n - len(self))
 
+    @lru_cache(maxsize=None)  # keyed by value: equal partitions share one entry
     def conjugate(self) -> "Partition":
         if not self:
             return _EMPTY
@@ -89,9 +90,15 @@ def schur_rank(lam: Partition, n: int) -> int:
     Hook content formula: product over boxes (i, j) of (n + j - i) divided by
     the hook length product.  All arithmetic is exact; the division is done
     once at the end and must be exact.  Returns 0 exactly when the diagram
-    has more than n rows.
+    has more than n rows.  lam may be any sequence of parts: it becomes a
+    Partition first, and the rank is cached per (partition, n), since a
+    Betti table and the Euler route ask for the same few ranks many times.
     """
-    lam = Partition(lam)
+    return _schur_rank(Partition(lam), n)
+
+
+@lru_cache(maxsize=None)
+def _schur_rank(lam: Partition, n: int) -> int:
     if n < 0:
         raise ValueError("rank must be nonnegative")
     if lam.length() > n:

@@ -10,11 +10,15 @@ entry v is read before the rest of the row, so the lattice condition needs
 a v - 1 in the rows above, and those hold at most r by induction.  Hence
 rows 0..r of nu/lam have at most mu_1 + ... + mu_{r+1} cells whenever
 c^nu_{lam,mu} > 0.  The candidate scan skips every other nu before counting,
-and the count caps each row's values by the same fact."""
+and the count caps each row's values by the same fact.  Both are cached per
+process: the scan per (lam, mu, rows), the count per (lam, mu, nu).  A
+caller's skip test runs between them, on every call, so no cached value
+depends on it."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import ge
 from typing import Callable, Optional
 
@@ -89,23 +93,33 @@ def lr_product(
     lam: Partition, mu: Partition, rows: Optional[int] = None, *, skip: Optional[Callable] = None
 ) -> dict[Partition, int]:
     """Decomposition of S_lam . S_mu as {nu: c^nu_{lam,mu}}, keys in
-    lexicographic descending order.
+    lexicographic descending order; a new dict on every call.
 
     rows, the rank of the bundle receiving the product, keeps the nu of at
     most that many rows (None keeps all).  Only candidates are counted: the
     nu of the right size that contain lam and pass the content-prefix bound.
+    The candidates depend on (lam, mu, rows) alone and are cached per
+    process, so the table route and the Euler route scan them once.
     skip(nu), if given, sees each candidate in that order and drops it
-    before its count when it returns true."""
+    before its count when it returns true; it runs after the cache, so each
+    route still drops vanishing weights by its own test."""
     lam, mu = Partition(lam), Partition(mu)
     most = len(lam) + len(mu)
-    rows = most if rows is None else min(rows, most)
-    lam_rows = tuple(lam) + (0,) * (rows - len(lam))
-    bound = []
-    room = 0
-    for r in range(rows):
-        room += mu[r] if r < len(mu) else 0
-        bound.append(room)
     out = {}
+    for nu in _lr_candidates(lam, mu, most if rows is None else min(rows, most)):
+        if skip is not None and skip(nu):
+            continue
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out[nu] = c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _lr_candidates(lam: Partition, mu: Partition, rows: int) -> tuple:
+    lam_rows = tuple(lam) + (0,) * (rows - len(lam))
+    bound = tuple(accumulate(mu.part(r) for r in range(rows)))  # content-prefix caps
+    out = []
     for nu in partitions_in_box(sum(lam) + sum(mu), rows, lam.part(0) + mu.part(0)):
         if len(nu) < len(lam):
             continue
@@ -115,12 +129,8 @@ def lr_product(
             if width < first or skew > cap:
                 break
         else:
-            if skip is not None and skip(nu):
-                continue
-            c = lr_coefficient(lam, mu, nu)
-            if c:
-                out[nu] = c
-    return out
+            out.append(nu)
+    return tuple(out)
 
 
 def cauchy_exterior(q: int) -> list[tuple[Partition, Partition]]:

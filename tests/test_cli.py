@@ -10,7 +10,7 @@ import pytest
 from kalmanres import cli, kalman
 from kalmanres.bott import GrassmannianContext
 from kalmanres.cli import _VERIFIERS, MISMATCH, OK, REFUSED, USAGE, main
-from kalmanres.geometric import resolution_terms
+from kalmanres.geometric import BettiTable, resolution_terms
 from kalmanres.resolutions import table_s1
 from property_checks import kalman_stack_rank, sample_generic_oracle, sample_member_oracle
 
@@ -98,6 +98,29 @@ class TestBetti:
         assert main(["betti", "--s", "1", "--d", "2", "--n", "4"]) == OK
         out = capsys.readouterr().out
         assert "proj_dim" in out and "regularity" in out
+
+    def test_human_output_is_pinned(self, capsys):
+        assert main(["betti", "--s", "1", "--d", "2", "--n", "4"]) == OK
+        assert capsys.readouterr().out == (
+            "  i  deg  summand                  mult     rank\n"
+            "------------------------------------------------\n"
+            "  0    0  (0; 0)                      1        1\n"
+            "  0    1  (0; 0)                      1        1\n"
+            "  1    2  (1^2; 1^2)                  1        1\n"
+            "  1    2  (1; 1)                      1        4\n"
+            "  2    3  (2; 1^2)                    1        3\n"
+            "proj_dim = 2  regularity = 1\n"
+        )
+
+    def test_json_never_renders_the_text_table(self, capsys, monkeypatch):
+        def refuse(table):
+            raise AssertionError("the text table is built under --json")
+
+        monkeypatch.setattr(BettiTable, "render", refuse)
+        code, payload = run_json(capsys, ["betti", "--s", "2", "--d", "3", "--n", "6"])
+        assert code == OK
+        assert payload["status"] == "ok"
+        assert payload["proj_dim"] == resolution_terms(GrassmannianContext(2, 3, 6)).proj_dim()
 
 
 class TestCohomology:

@@ -128,6 +128,21 @@ class TestSchurRank:
         assert schur_rank(Partition((2, 1, 1)), 5) == 45
         assert schur_rank(Partition((1, 1, 1)), 6) == 20  # wedge^3
 
+    def test_accepts_lists_and_tuples_around_its_cache(self):
+        # the rank is cached per (Partition, n): every form of the same
+        # parts, trailing zeros included, reaches the same entry
+        for lam in ([2, 1], (2, 1), (2, 1, 0), Partition((2, 1)), [2, 1]):
+            assert schur_rank(lam, 5) == 40, lam
+        assert schur_rank([], 3) == schur_rank((), 3) == 1
+
+    def test_negative_rank_raises_on_every_call(self):
+        # an exception is never cached: the repeated call raises too
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                schur_rank((2, 1), -1)
+            with pytest.raises(ValueError):
+                schur_rank([], -2)
+
     def test_weight_rank_matches_weyl_product(self):
         for lam in all_partitions_up_to(5):
             for n in range(lam.length(), 5):

@@ -1,9 +1,10 @@
+from collections import Counter
 from itertools import product
 from math import comb
 
 import pytest
 
-from kalmanres import cli, resolutions
+from kalmanres import cli, geometric, resolutions
 from kalmanres.bott import GrassmannianContext
 from kalmanres.geometric import (
     BettiTable,
@@ -485,6 +486,22 @@ class TestConjecture:
         assert conjecture_consistency(4, 5).telescope_ok is False
         assert cli.main(["conjecture", "--d", "4", "--n", "5"]) == cli.MISMATCH
         assert "telescoping cross-check: False" in capsys.readouterr().out
+
+    def test_n_d_plus_1_check_sweeps_each_context_once(self, monkeypatch):
+        # the Euler-route series is cached per context, so the per-s check
+        # at n = d+1 reuses the series the prediction summed
+        hilbert_series_normalization.cache_clear()
+        swept = Counter()
+        sweep = geometric.xi_exterior_decomposition
+
+        def counting(ctx, q, **kwargs):
+            swept[ctx, q] += 1
+            return sweep(ctx, q, **kwargs)
+
+        monkeypatch.setattr(geometric, "xi_exterior_decomposition", counting)
+        assert conjecture_consistency(5, 6).telescope_ok is True
+        contexts = [GrassmannianContext(s, 5, 6) for s in range(1, 6)]
+        assert swept == Counter({(ctx, q): 1 for ctx in contexts for q in range(ctx.xi_rank + 1)})
 
     def test_prediction_only_away_from_corner(self):
         report = conjecture_consistency(4, 7)

@@ -21,6 +21,19 @@ def all_partitions_up_to(total):
         yield from partitions_of(q)
 
 
+def scan_candidates(lam, mu, r):
+    """The nu lr_product counts, in order: size |lam| + |mu|, at most r
+    rows, containing lam, and rows 0..k of nu/lam holding at most
+    mu_1 + ... + mu_{k+1} cells."""
+    total, cols = sum(lam) + sum(mu), lam.part(0) + mu.part(0)
+    return [
+        nu
+        for nu in partitions_in_box(total, r, cols)
+        if all(nu.part(k) >= lam.part(k) for k in range(r))
+        and all(sum(nu[: k + 1]) - sum(lam[: k + 1]) <= sum(mu[: k + 1]) for k in range(r))
+    ]
+
+
 def pieri_row(mu, k):
     """lr_product with a one-row factor, keys in descending order; every
     multiplicity must be 1."""
@@ -188,17 +201,8 @@ class TestLittlewoodRichardson:
         monkeypatch.setattr(schur, "lr_coefficient", counting)
         for lam in all_partitions_up_to(5):
             for mu in all_partitions_up_to(5):
-                total, cols = sum(lam) + sum(mu), lam.part(0) + mu.part(0)
                 for r in range(lam.length() + mu.length() + 1):
-                    candidates = [
-                        nu
-                        for nu in partitions_in_box(total, r, cols)
-                        if all(nu.part(k) >= lam.part(k) for k in range(r))
-                        and all(
-                            sum(nu[: k + 1]) - sum(lam[: k + 1]) <= sum(mu[: k + 1])
-                            for k in range(r)
-                        )
-                    ]
+                    candidates = scan_candidates(lam, mu, r)
                     seen = []
                     counted.clear()
                     got = lr_product(lam, mu, r, skip=lambda nu: seen.append(nu) or len(seen) % 2 == 0)
@@ -208,6 +212,36 @@ class TestLittlewoodRichardson:
                     assert got == {
                         nu: c for nu, c in lr_product(lam, mu, r).items() if nu in kept
                     }, (lam, mu, r)
+
+    def test_two_skips_on_one_cached_scan(self):
+        # the scan is cached per (lam, mu, rows) and skip runs after the
+        # lookup: the second skip, served from the cache, still sees every
+        # candidate in order, and each result is the full product less
+        # exactly the keys its own skip dropped
+        schur._lr_candidates.cache_clear()
+        skips = (lambda nu: len(nu) == 3, lambda nu: nu.part(0) >= 5 or nu.part(1) <= 2)
+        for lam, mu in [((3, 2, 1), (2, 2, 1)), ((2, 1), (2, 1)), ((4, 2), (3, 1, 1))]:
+            lam, mu = Partition(lam), Partition(mu)
+            for rows in range(len(lam) + len(mu) + 1):
+                full = lr_product(lam, mu, rows)
+                for drop in skips:
+                    seen = []
+                    got = lr_product(lam, mu, rows, skip=lambda nu: seen.append(nu) or drop(nu))
+                    assert seen == scan_candidates(lam, mu, rows), (lam, mu, rows)
+                    assert list(got.items()) == [
+                        (nu, c) for nu, c in full.items() if not drop(nu)
+                    ], (lam, mu, rows)
+        assert schur._lr_candidates.cache_info().hits > 0
+
+    def test_mutating_a_product_leaves_the_next_call_whole(self):
+        lam, mu = Partition((2, 1)), Partition((2, 1))
+        first = lr_product(lam, mu, 3)
+        expected = list(first.items())
+        first.clear()
+        first[Partition((9,))] = 7
+        again = lr_product(lam, mu, 3)
+        assert list(again.items()) == expected
+        assert again is not lr_product(lam, mu, 3)
 
     def test_product_keys_sorted(self):
         out = lr_product(Partition((2, 1)), Partition((2, 1)))
