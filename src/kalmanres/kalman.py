@@ -5,7 +5,9 @@ representation-theoretic machinery: build the stacked matrix (gamma;
 gamma*alpha; ...; gamma*alpha^{d-1}) whose minor vanishing cuts out the
 variety, sample points on and off it, measure the Jacobian rank of the
 minors, and estimate the minor ideal's Hilbert function by evaluation,
-one rank per weight of the diagonal torus.
+one rank per weight of the diagonal torus up to the Levi's Weyl group: the
+Levi GL(L) x GL(V/L) maps the stack M to (I x B) M A^-1, so it keeps each
+I_k, and S_d x S_{n-d} permutes the weight blocks, their sizes and ranks.
 
 Elimination over F_p has two kernels, and the input's shape selects one: a
 single matrix goes through the blocked _echelon (panels of BLOCK = 64
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, isqrt, prod
+from math import comb, factorial, isqrt, prod
 
 P_DEFAULT = (1 << 31) - 1  # Mersenne prime; every modulus must be a prime below 2^31
 
@@ -447,6 +449,11 @@ def _row_weights(d: int, n: int, rows: np.ndarray, cols: np.ndarray, monos: np.n
     return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2) + var[monos].sum(-2)
 
 
+def _arrangements(w: list) -> int:
+    """Number of distinct orderings of the entries of w (a multinomial)."""
+    return factorial(len(w)) // prod(factorial(w.count(v)) for v in set(w))
+
+
 def numeric_hilbert_function(
     s: int,
     d: int,
@@ -463,18 +470,23 @@ def numeric_hilbert_function(
 
     Every row is a weight vector of the diagonal torus (_row_weights), and
     vectors of distinct weights are linearly independent, so dim I_k is the
-    sum over weights of the rank of the rows of that weight.  One point set
-    is drawn per degree and repeat; a block of r rows is evaluated at its
-    first min(r, C(n^2+k-1, k)) + HF_MARGIN points, and the largest rank
-    over HF_REPEATS point sets is kept for each block.
+    sum over weights of the rank of the rows of that weight.  The Levi keeps
+    I_k (module docstring), so only the dominant blocks, whose weights weakly
+    decrease on [0, d) and on [d, n), are ranked, each rank counted once per
+    weight of its S_d x S_{n-d} orbit.  One point set of min(largest block,
+    C(n^2+k-1, k)) + HF_MARGIN points is drawn per degree and repeat (the
+    Weyl group keeps block sizes, so the largest block is dominant); a block
+    of r rows is evaluated at its first min(r, C(n^2+k-1, k)) + HF_MARGIN
+    points, and the largest rank over HF_REPEATS point sets is kept.
 
     Error: if a block's rows span a space of dimension rho <= r, its rank at
     the points is rho unless a nonzero rho x rho determinant, a polynomial of
     degree k rho in the points' coordinates, vanishes at them; by
     Schwartz-Zippel that has probability at most k r / p.  By the union bound
-    over blocks and degrees, every dim I_k is exact with probability at least
-    1 - sum_k k R_k / p, R_k the number of rows of degree k.  A failure only
-    lowers a rank, so dim I_k can only be underestimated and HF_k only
+    over ranked blocks and degrees, every dim I_k is exact with probability
+    at least 1 - sum_k k R'_k / p, R'_k the number of dominant rows of degree
+    k.  A failure only lowers a rank, which then counts low for its whole
+    orbit, so dim I_k can only be underestimated and HF_k only
     overestimated.  That one-sidedness needs the grading to be right: rows
     put in different blocks by a wrong weight would have a common span
     counted twice.  Refuses degrees whose monomial count exceeds `budget`.
@@ -512,7 +524,11 @@ def numeric_hilbert_function(
         if idx:
             idx, monos = np.array(idx), np.array(monos)
             weights = _row_weights(d, n, minor_rows[idx], minor_cols[idx], monos)
-            _, inverse, counts = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
+            # one block per S_d x S_{n-d} orbit: its weight weakly decreases on [0, d) and [d, n)
+            dominant = (np.diff(weights[:, :d]) <= 0).all(1) & (np.diff(weights[:, d:]) <= 0).all(1)
+            idx, monos, weights = idx[dominant], monos[dominant], weights[dominant]
+            keys, inverse, counts = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
+            orbits = [_arrangements(w[:d]) * _arrangements(w[d:]) for w in keys.tolist()]
             # blocks[b]: the rows whose weight is the b-th distinct one
             blocks = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
             ranks = np.zeros(len(blocks), dtype=np.int64)
@@ -529,7 +545,7 @@ def numeric_hilbert_function(
                         vals = vals * flats[:m, monos[block, j]] % p
                     # points x rows: its rank is the rank of the block's rows
                     ranks[b] = max(ranks[b], len(_echelon(vals, p)[1]))
-            dim_k = int(ranks.sum())
+            dim_k = sum(int(r) * orbit for r, orbit in zip(ranks, orbits))
         if dim_k < prev_dim:
             raise RuntimeError(f"dim I_{k} = {dim_k} is below dim I_{k - 1} = {prev_dim}")
         prev_dim = dim_k

@@ -8,8 +8,10 @@ lr_coefficient_cells, the cell-by-cell LR backtracker, which shares no code
 with the flat kernel that replaced it and checks it on every small triple;
 the two Hilbert-series routes before their vanishing pre-tests, which
 run every summand of the complete decomposition through Bott and the Weyl
-product; the Koszul table that filters unbounded LR products by length; and
-the downward replay of the inductive sequence in the n = d+1 corner.
+product; the Koszul table that filters unbounded LR products by length; the
+downward replay of the inductive sequence in the n = d+1 corner; and the
+graded F_p Hilbert function that ranks every weight block, not one per
+Weyl orbit.
 """
 
 from collections import Counter
@@ -688,4 +690,69 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
                 mat[r] = vals
             dim_k = max(dim_k, len(_echelon(mat, p)[1]))
         hf.append(comb(nn + k - 1, k) - dim_k)
+    return hf
+
+
+def hilbert_function_all_weights(s, d, n, k_max, seed, p):
+    """kalman.numeric_hilbert_function before it used the Levi's Weyl group:
+    the same torus grading, point draws and per-block point counts, but every
+    weight block is evaluated and eliminated, and dim I_k is the sum of all
+    their ranks.  At a given seed this is the function's output before it
+    ranked one block per Weyl orbit."""
+    from itertools import combinations_with_replacement
+    from math import comb
+
+    import numpy as np
+
+    from kalmanres.kalman import (
+        HF_MARGIN,
+        HF_REPEATS,
+        KalmanPoint,
+        SplitMix64,
+        _det_mod,
+        _echelon,
+        _minor_indices,
+        _row_weights,
+        reduced_kalman_matrix,
+    )
+
+    nn = n * n
+    dims = [comb(nn + k - 1, k) for k in range(k_max + 1)]
+    minors = _minor_indices(s, d, n)
+    minor_rows = np.array([rows for rows, _, _ in minors])
+    minor_cols = np.array([cols for _, cols, _ in minors])
+    rng = SplitMix64(seed)
+    hf = []
+    for k in range(k_max + 1):
+        # row = (minor idx[i]) x (monomial monos[i]), padded to length k by
+        # the constant 1 (variable nn)
+        idx, monos = [], []
+        for i, (_, _, deg) in enumerate(minors):
+            if deg <= k:
+                for mono in combinations_with_replacement(range(nn), k - deg):
+                    idx.append(i)
+                    monos.append(mono + (nn,) * deg)
+        dim_k = 0
+        if idx:
+            idx, monos = np.array(idx), np.array(monos)
+            weights = _row_weights(d, n, minor_rows[idx], minor_cols[idx], monos)
+            _, inverse, counts = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
+            # blocks[b]: the rows whose weight is the b-th distinct one
+            blocks = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+            ranks = np.zeros(len(blocks), dtype=np.int64)
+            npts = min(int(counts.max()), dims[k]) + HF_MARGIN
+            for _ in range(HF_REPEATS):
+                phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
+                flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
+                stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
+                minor_vals = _det_mod(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
+                for b, block in enumerate(blocks):
+                    m = min(len(block), dims[k]) + HF_MARGIN
+                    vals = minor_vals[:m, idx[block]]
+                    for j in range(k):
+                        vals = vals * flats[:m, monos[block, j]] % p
+                    # points x rows: its rank is the rank of the block's rows
+                    ranks[b] = max(ranks[b], len(_echelon(vals, p)[1]))
+            dim_k = int(ranks.sum())
+        hf.append(dims[k] - dim_k)
     return hf

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations_with_replacement, permutations
 from math import comb
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 from kalmanres import kalman
 from kalmanres.kalman import (
+    HF_MARGIN,
     P_DEFAULT,
     BudgetExceededError,
     FpMatrix,
@@ -29,6 +31,7 @@ from kalmanres.kalman import (
 )
 from property_checks import (
     echelon_unblocked,
+    hilbert_function_all_weights,
     hilbert_function_dense,
     inverse_mod,
     laplace_adjugate,
@@ -446,6 +449,76 @@ class TestNumericHilbertFunction:
         for seed in range(3):
             expected = hilbert_function_dense(s, d, n, k_max, seed, P_DEFAULT)
             assert numeric_hilbert_function(s, d, n, k_max, seed) == expected, seed
+
+    @pytest.mark.parametrize("s,d,n,k_max", [(s, d, n, 4) for s, d, n in cases(4)] + [(1, 3, 5, 6)])
+    def test_matches_all_weights_oracle(self, s, d, n, k_max):
+        # ranking one block per Weyl orbit draws the same points and
+        # eliminates each dominant block at them, so the output is bit for
+        # bit that of ranking every block
+        for seed in range(3):
+            expected = hilbert_function_all_weights(s, d, n, k_max, seed, P_DEFAULT)
+            assert numeric_hilbert_function(s, d, n, k_max, seed, budget=10**7) == expected, seed
+
+    @pytest.mark.parametrize("s,d,n,k_max", [(1, 2, 4, 5), (1, 3, 5, 6), (2, 3, 5, 5)])
+    def test_weyl_orbits_share_sizes_and_ranks(self, s, d, n, k_max):
+        # S_d x S_{n-d} permutes the weight blocks: every block has the size
+        # and, at one shared point set, the rank of the block of its sorted
+        # weight, so the dominant blocks times their orbit sizes hold every
+        # row and the largest block is dominant
+        p, nn = P_DEFAULT, n * n
+        minors = _minor_indices(s, d, n)
+        rows = np.array([r for r, _, _ in minors])
+        cols = np.array([c for _, c, _ in minors])
+        rng = SplitMix64(1000 + 100 * n + 10 * d + s)
+
+        def dominant(w):
+            return tuple(sorted(w[:d], reverse=True) + sorted(w[d:], reverse=True))
+
+        def orbit_size(w):
+            return len(set(permutations(w[:d]))) * len(set(permutations(w[d:])))
+
+        for k in range(k_max + 1):
+            specs = [
+                (i, mono + (nn,) * deg)
+                for i, (_, _, deg) in enumerate(minors)
+                if deg <= k
+                for mono in combinations_with_replacement(range(nn), k - deg)
+            ]
+            if not specs:
+                continue
+            idx = np.array([i for i, _ in specs])
+            monos = np.array([mono for _, mono in specs])
+            weights = _row_weights(d, n, rows[idx], cols[idx], monos)
+            blocks = {}
+            for r, w in enumerate(map(tuple, weights.tolist())):
+                blocks.setdefault(w, []).append(r)
+            sizes = {w: len(block) for w, block in blocks.items()}
+            assert all(sizes[w] == sizes[dominant(w)] for w in blocks)
+            tops = [w for w in blocks if w == dominant(w)]
+            assert sum(orbit_size(w) * sizes[w] for w in tops) == len(specs)
+            assert max(sizes[w] for w in tops) == max(sizes.values())
+
+            npts = min(max(sizes.values()), comb(nn + k - 1, k)) + HF_MARGIN
+            phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)
+            flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
+            stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
+            vals = _det_mod(stacks[:, rows[:, :, None], cols[:, None, :]], p)[:, idx]
+            for j in range(k):
+                vals = vals * flats[:, monos[:, j]] % p
+            ranks = {w: rank(vals[:, block], p) for w, block in blocks.items()}
+            assert all(ranks[w] == ranks[dominant(w)] for w in blocks), k
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_n5_matches_the_cone_and_the_prediction(self, seed):
+        # the one check of an F_p Hilbert function at n = 5 against symbolic
+        # series: (1, 3, 5) through degree 7, against the mapping cone's
+        # series and the predicted one
+        from kalmanres.geometric import hilbert_series
+        from kalmanres.resolutions import kalman_cone_d3, predicted_hilbert_series
+
+        hf = numeric_hilbert_function(1, 3, 5, 7, seed, budget=10**7)
+        assert hf == [hilbert_series(kalman_cone_d3(5)).coefficient(k) for k in range(8)]
+        assert hf == [predicted_hilbert_series(3, 5).coefficient(k) for k in range(8)]
 
     @pytest.mark.parametrize("d,n", [(d, n) for n in range(2, 5) for d in range(1, n)])
     def test_linear_ideal(self, d, n):
