@@ -5,13 +5,13 @@ From the normalization to the variety itself
 For d = 2 the variety's own resolution comes from a mapping cone: resolve
 the normalization, resolve the cokernel of the inclusion (a Koszul complex
 on the d x (n-d) linear block), and cancel the summand pairs that the
-comparison map matches isomorphically.
+comparison map matches isomorphically: here, every summand the two tables
+share.
 """
 
 from kalmanres import (
     GrassmannianContext,
     cone_table_d2,
-    d2_cancellations,
     hilbert_series,
     kalman_table_d2,
     koszul_table,
@@ -25,11 +25,13 @@ ambient = resolution_terms(GrassmannianContext(1, 2, n))
 # the cokernel is the ideal generated by the bottom-left block entries
 quotient = koszul_table([((), (), 1)], GrassmannianContext(2, 2, n))
 
+# the cancellation spec: the summands the two tables share
+matched = ambient & quotient
 print("cancellation spec (one matched pair per line):")
-for i, e, lam, mu, mult in d2_cancellations(n).entries():
+for i, e, lam, mu, mult in matched.entries():
     print(f"  {mult} x ({lam.exponent_string()}; {mu.exponent_string()}) at (i={i}, e={e})")
 
-cone = mapping_cone(ambient, quotient, d2_cancellations(n))
+cone = mapping_cone(ambient, quotient, matched)
 print()
 print(cone.render())
 

@@ -3,7 +3,8 @@ matrices fixing an s-dimensional subspace of a marked d-dimensional space.
 
 The library has two halves.  The symbolic half (partitions, schur, bott,
 geometric, resolutions) computes Betti tables of the normalizations, assembles
-mapping cones against shipped cancellation data, and compares Hilbert series.
+mapping cones that cancel the summands their two tables share, and compares
+Hilbert series.
 The numeric half (kalman) samples matrices over a large prime field to check
 the minor equations, the Jacobian codimension, and low-degree Hilbert
 function values.
@@ -47,9 +48,6 @@ from .resolutions import (
     ConjectureReport,
     cone_table_d2,
     conjecture_consistency,
-    d2_cancellations,
-    d3_stage1_cancellations,
-    d3_stage2_cancellations,
     intermediate_table_d3,
     kalman_cone_d3,
     kalman_equations_d3,
@@ -87,9 +85,6 @@ __all__ = [
     "cohomology_table",
     "cone_table_d2",
     "conjecture_consistency",
-    "d2_cancellations",
-    "d3_stage1_cancellations",
-    "d3_stage2_cancellations",
     "dual_weight",
     "hilbert_series",
     "hilbert_series_normalization",

@@ -195,6 +195,13 @@ class BettiTable:
     def restrict_index(self, max_i: int) -> "BettiTable":
         return self._with(Counter({key: m for key, m in self._data.items() if key[0] <= max_i}))
 
+    def __and__(self, other: "BettiTable") -> "BettiTable":
+        """Multiset intersection: each (i, e, lam, mu) at the smaller of its
+        two multiplicities, over this table's context."""
+        if (self.ctx.d, self.ctx.n) != (other.ctx.d, other.ctx.n):
+            raise ValueError("tables live over different polynomial rings")
+        return self._with(self._data & other._data)
+
     # -- comparison / io -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

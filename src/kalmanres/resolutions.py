@@ -4,11 +4,11 @@ the invariant-subspace varieties themselves (not just their normalizations).
 The coordinate ring of the variety sits inside the normalization module; the
 quotient is a twisted module of the same family with smaller subspace
 dimension.  Resolving the quotient and cancelling the isomorphic comparison
-summands via a mapping cone yields the variety's resolution.  Which summands
-cancel is configuration data, not something this code infers: a
-cancellation spec is a BettiTable of the matched summands, and the specs
-shipped here are the known minimal cancellations for d = 2 and the
-two-stage d = 3 pipeline.
+summands via a mapping cone yields the variety's resolution.  A cancellation
+spec is a BettiTable of the matched summands.  Each cone here derives its
+spec from the two tables it joins: their multiset intersection, cut at a
+homological index for the two d = 3 stages.  That every matched summand's
+comparison component is an isomorphism is assumed, not inferred.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def mapping_cone(
 
     Output index i collects (ambient_i minus matched) plus (quotient_{i+1}
     minus matched).  Quotient generators that the spec leaves uncancelled
-    land at index -1; a genuine kernel resolution has none, and the shipped
-    specs leave none.  Every matched entry must exist in both tables at its
-    (i, e).
+    land at index -1; a genuine kernel resolution has none, and the derived
+    specs of the cones below leave none.  Every matched entry must exist in
+    both tables at its (i, e).
     """
     if (ambient.ctx.d, ambient.ctx.n) != (quotient.ctx.d, quotient.ctx.n):
         raise ValueError("tables live over different polynomial rings")
@@ -184,21 +184,21 @@ def kalman_table_d2(n: int) -> BettiTable:
     return t
 
 
-def d2_cancellations(n: int) -> BettiTable:
-    """Comparison-map isomorphisms for the d=2 cone: the divided-power
-    summand (i; 1^i) at degree i+1, for i = 0..n-2."""
-    spec = BettiTable(GrassmannianContext(1, 2, n))
-    for i in range(n - 1):
-        spec.add(i, i + 1, (i,), (1,) * i)
-    return spec
+def _cone(ambient: BettiTable, quotient: BettiTable, through: Optional[int] = None) -> BettiTable:
+    """mapping_cone that cancels every summand the two tables share, at
+    homological index <= through when it is given."""
+    matched = ambient & quotient
+    if through is not None:
+        matched = matched.restrict_index(through)
+    return mapping_cone(ambient, quotient, matched)
 
 
 def cone_table_d2(n: int) -> BettiTable:
     """The d=2 variety resolution assembled by the mapping cone: normalization
-    table over the twist-1 Koszul strand, with the shipped cancellations."""
+    table over the twist-1 Koszul strand, cancelling every shared summand."""
     ambient = resolution_terms(GrassmannianContext(1, 2, n))
     quotient = koszul_table([((), (), 1)], GrassmannianContext(2, 2, n))
-    return mapping_cone(ambient, quotient, d2_cancellations(n))
+    return _cone(ambient, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -206,49 +206,28 @@ def cone_table_d2(n: int) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 
-def d3_stage1_cancellations(n: int) -> BettiTable:
-    spec = BettiTable(GrassmannianContext(2, 3, n))
-    for i, e, lam, mu in [
-        (0, 2, (), ()),
-        (1, 3, (1,), (1,)),
-        (2, 4, (2,), (1, 1)),
-        (2, 4, (1, 1), (2,)),
-        (3, 5, (3,), (1, 1, 1)),
-        (3, 5, (2, 1), (2, 1)),
-    ]:
-        spec.add_nonzero(i, e, lam, mu)
-    return spec
-
-
 def intermediate_table_d3(n: int) -> BettiTable:
     """Resolution of the degree-(0,1)-generated submodule of the (2,3,n)
-    normalization: cone of its resolution over the twist-2 Koszul strand."""
+    normalization: cone of its resolution over the twist-2 Koszul strand,
+    cancelling the shared summands at index <= 3."""
     ambient = resolution_terms(GrassmannianContext(2, 3, n))
     quotient = koszul_table([((), (), 2)], GrassmannianContext(3, 3, n))
-    return mapping_cone(ambient, quotient, d3_stage1_cancellations(n))
-
-
-def d3_stage2_cancellations(n: int) -> BettiTable:
-    spec = BettiTable(GrassmannianContext(1, 3, n))
-    for i, e, lam, mu in [
-        (0, 1, (), ()),
-        (0, 2, (), ()),
-        (1, 3, (1, 1), (1, 1)),
-        (1, 3, (1,), (1,)),
-        (2, 4, (2, 1), (1, 1, 1)),
-        (2, 4, (2,), (1, 1)),
-    ]:
-        spec.add_nonzero(i, e, lam, mu)
-    return spec
+    return _cone(ambient, quotient, through=3)
 
 
 def kalman_cone_d3(n: int) -> BettiTable:
     """Betti table of the d=3, s=1 variety's coordinate ring via the
     two-stage cone: the s=1 normalization over the twisted intermediate
-    module.  Index 1 gives the ideal's minimal generators."""
+    module, cancelling the shared summands at index <= 2.  Index 1 gives the
+    ideal's minimal generators.
+
+    The two stages cancel only through index 3 and index 2, and their tables
+    share more summands above those indices.  So the table is a resolution,
+    but from index 2 on it is not claimed to be minimal.
+    """
     ambient = resolution_terms(GrassmannianContext(1, 3, n))
     quotient = intermediate_table_d3(n).twist(1)
-    return mapping_cone(ambient, quotient, d3_stage2_cancellations(n))
+    return _cone(ambient, quotient, through=2)
 
 
 def kalman_equations_d3(n: int) -> list:

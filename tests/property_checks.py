@@ -9,16 +9,17 @@ with the flat kernel that replaced it and checks it on every small triple;
 the two Hilbert-series routes before their vanishing pre-tests, which
 run every summand of the complete decomposition through Bott and the Weyl
 product; the Koszul table that filters unbounded LR products by length; the
-downward replay of the inductive sequence in the n = d+1 corner; and the
-graded F_p Hilbert function that ranks every weight block, not one per
-Weyl orbit.
+three cancellation specs of the d = 2 and d = 3 cones, listed by hand before
+each cone derived its own; the downward replay of the inductive sequence in
+the n = d+1 corner; and the graded F_p Hilbert function that ranks every
+weight block, not one per Weyl orbit.
 """
 
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice
 
-from kalmanres.bott import cohomology_of_summand
+from kalmanres.bott import GrassmannianContext, cohomology_of_summand
 from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
@@ -331,6 +332,46 @@ def koszul_table_filtered(generators, ctx):
                             continue
                         table.add(i, i + c, left, right, cl * cr)
     return table
+
+
+# -- the cancellation specs as they were written by hand -----------------------
+
+
+def d2_cancellations(n: int) -> BettiTable:
+    """Comparison-map isomorphisms for the d=2 cone: the divided-power
+    summand (i; 1^i) at degree i+1, for i = 0..n-2."""
+    spec = BettiTable(GrassmannianContext(1, 2, n))
+    for i in range(n - 1):
+        spec.add(i, i + 1, (i,), (1,) * i)
+    return spec
+
+
+def d3_stage1_cancellations(n: int) -> BettiTable:
+    spec = BettiTable(GrassmannianContext(2, 3, n))
+    for i, e, lam, mu in [
+        (0, 2, (), ()),
+        (1, 3, (1,), (1,)),
+        (2, 4, (2,), (1, 1)),
+        (2, 4, (1, 1), (2,)),
+        (3, 5, (3,), (1, 1, 1)),
+        (3, 5, (2, 1), (2, 1)),
+    ]:
+        spec.add_nonzero(i, e, lam, mu)
+    return spec
+
+
+def d3_stage2_cancellations(n: int) -> BettiTable:
+    spec = BettiTable(GrassmannianContext(1, 3, n))
+    for i, e, lam, mu in [
+        (0, 1, (), ()),
+        (0, 2, (), ()),
+        (1, 3, (1, 1), (1, 1)),
+        (1, 3, (1,), (1,)),
+        (2, 4, (2, 1), (1, 1, 1)),
+        (2, 4, (2,), (1, 1)),
+    ]:
+        spec.add_nonzero(i, e, lam, mu)
+    return spec
 
 
 # -- the inductive sequence replayed in the n = d+1 corner ----------------------

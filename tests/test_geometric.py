@@ -281,6 +281,20 @@ class TestBettiTable:
         c.add(0, 0, (), ())
         assert a == c
 
+    def test_intersection_takes_the_smaller_multiplicity(self):
+        a = self.make()
+        b = BettiTable(GrassmannianContext(2, 2, 4))
+        b.add(1, 2, (1,), (1,))
+        b.add(1, 3, (1, 1), (1, 1))
+        b.add(0, 0, (), (), 3)
+        both = a & b
+        assert list(both.entries()) == [(0, 0, (), (), 1), (1, 2, (1,), (1,), 1)]
+        assert both == b & a
+        assert both.ctx == a.ctx  # the left table's context
+        assert a == self.make() and len(b) == 3  # operands untouched
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            a & BettiTable(GrassmannianContext(1, 2, 5))
+
     def test_rank_and_indices(self):
         t = self.make()
         # entry ranks over (d, n-d) = (2, 2)

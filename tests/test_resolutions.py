@@ -19,9 +19,6 @@ from kalmanres.resolutions import (
     ConjectureReport,
     cone_table_d2,
     conjecture_consistency,
-    d2_cancellations,
-    d3_stage1_cancellations,
-    d3_stage2_cancellations,
     intermediate_table_d3,
     kalman_cone_d3,
     kalman_equations_d3,
@@ -34,7 +31,13 @@ from kalmanres.resolutions import (
     table_s2_d3,
     table_w_line,
 )
-from property_checks import koszul_table_filtered, replayed_w_line_prediction
+from property_checks import (
+    d2_cancellations,
+    d3_stage1_cancellations,
+    d3_stage2_cancellations,
+    koszul_table_filtered,
+    replayed_w_line_prediction,
+)
 
 
 def _at(table, i, e):
@@ -42,20 +45,61 @@ def _at(table, i, e):
     return {(lam, mu): m for j, f, lam, mu, m in table.entries() if (j, f) == (i, e)}
 
 
-class TestCancellationSpec:
-    def test_d2_spec_content(self):
-        spec = list(d2_cancellations(5).entries())
-        assert [(i, e) for i, e, _, _, _ in spec] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert spec[3][2] == (3,) and spec[3][3] == (1, 1, 1)
+@pytest.fixture
+def specs(monkeypatch):
+    """run(cone, n) calls cone(n) and returns the cancellation specs it
+    passed to mapping_cone, in call order."""
 
-    def test_d3_specs_prune_with_n(self):
+    def run(cone, n):
+        seen = []
+
+        def record(ambient, quotient, matched):
+            seen.append(matched)
+            return mapping_cone(ambient, quotient, matched)
+
+        monkeypatch.setattr(resolutions, "mapping_cone", record)
+        cone(n)
+        return seen
+
+    return run
+
+
+class TestCancellationSpec:
+    def test_d2_spec_content(self, specs):
+        [spec] = specs(cone_table_d2, 5)
+        entries = list(spec.entries())
+        assert [(i, e) for i, e, _, _, _ in entries] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert entries[3][2] == (3,) and entries[3][3] == (1, 1, 1)
+
+    def test_d3_specs_prune_with_n(self, specs):
         # at n=4 the complement space is a line; multi-row W-labels drop out
-        full = d3_stage1_cancellations(8)
-        small = d3_stage1_cancellations(4)
+        [full] = specs(intermediate_table_d3, 8)
+        [small] = specs(intermediate_table_d3, 4)
         assert len(full) == 6
         assert len(small) < len(full)
         assert all(mu.length() <= 1 for _, _, _, mu, _ in small.entries())
-        assert len(d3_stage2_cancellations(8)) == 6
+        assert len(specs(kalman_cone_d3, 8)[1]) == 6
+
+    def test_derived_specs_equal_the_hand_lists(self, specs):
+        for n in range(3, 16):
+            assert specs(cone_table_d2, n) == [d2_cancellations(n)], n
+        for n in range(4, 15):
+            stages = [d3_stage1_cancellations(n), d3_stage2_cancellations(n)]
+            assert specs(kalman_cone_d3, n) == stages, n
+
+    def test_the_d3_index_bounds_matter(self):
+        # without its bound, each stage also cancels one summand above it
+        ambient = resolution_terms(GrassmannianContext(2, 3, 5))
+        quotient = koszul_table([((), (), 2)], GrassmannianContext(3, 3, 5))
+        shared = ambient & quotient
+        assert [e[:4] for e in shared.entries() if e[0] > 3] == [(4, 6, (2, 2), (2, 2))]
+        assert mapping_cone(ambient, quotient, shared) != intermediate_table_d3(5)
+
+        ambient = resolution_terms(GrassmannianContext(1, 3, 6))
+        quotient = intermediate_table_d3(6).twist(1)
+        shared = ambient & quotient
+        assert [e[:4] for e in shared.entries() if e[0] > 2] == [(3, 5, (3,), (1, 1, 1))]
+        assert mapping_cone(ambient, quotient, shared) != kalman_cone_d3(6)
 
 
 class TestKoszul:
@@ -397,11 +441,8 @@ _CONTEXT_OF = {
     table_s2_d3: lambda n: (2, 3, n),
     table_w_line: lambda s, d: (s, d, d + 1),
     kalman_table_d2: lambda n: (1, 2, n),
-    d2_cancellations: lambda n: (1, 2, n),
     cone_table_d2: lambda n: (1, 2, n),
-    d3_stage1_cancellations: lambda n: (2, 3, n),
     intermediate_table_d3: lambda n: (2, 3, n),
-    d3_stage2_cancellations: lambda n: (1, 3, n),
     kalman_cone_d3: lambda n: (1, 3, n),
     kalman_equations_d3: lambda n: (1, 3, n),
     predicted_hilbert_series: lambda d, n: (1, d, n),
