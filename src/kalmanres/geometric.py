@@ -129,21 +129,6 @@ class BettiTable:
         if schur_rank(lam, self.ctx.d) and schur_rank(mu, self.ctx.dim_w):
             self.add(i, e, lam, mu, mult)
 
-    def subtract(self, i: int, e: int, lam: Partition, mu: Partition, mult: int = 1) -> None:
-        pair = (Partition(lam), Partition(mu))
-        key = (i, e) + pair
-        have = self._data[key]
-        if have < mult:
-            raise ValueError(
-                f"cannot remove {mult} x {pair} at (i={i}, e={e}); have {have}"
-            )
-        self._data[key] -= mult
-        if self._data[key] == 0:
-            del self._data[key]
-
-    def copy(self) -> "BettiTable":
-        return self._with(Counter(self._data))
-
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -195,12 +180,28 @@ class BettiTable:
     def restrict_index(self, max_i: int) -> "BettiTable":
         return self._with(Counter({key: m for key, m in self._data.items() if key[0] <= max_i}))
 
+    def _check_ring(self, other: "BettiTable") -> None:
+        if (self.ctx.d, self.ctx.n) != (other.ctx.d, other.ctx.n):
+            raise ValueError("tables live over different polynomial rings")
+
     def __and__(self, other: "BettiTable") -> "BettiTable":
         """Multiset intersection: each (i, e, lam, mu) at the smaller of its
         two multiplicities, over this table's context."""
-        if (self.ctx.d, self.ctx.n) != (other.ctx.d, other.ctx.n):
-            raise ValueError("tables live over different polynomial rings")
+        self._check_ring(other)
         return self._with(self._data & other._data)
+
+    def __sub__(self, other: "BettiTable") -> "BettiTable":
+        """Multiset difference over this table's context.  Raises unless
+        this table holds every entry of other at least as often."""
+        self._check_ring(other)
+        excess = other._data - self._data
+        if excess:
+            i, e, lam, mu = _entry_order(excess)[0]
+            raise ValueError(
+                f"cannot remove {other._data[i, e, lam, mu]} x {(lam, mu)} at "
+                f"(i={i}, e={e}); have {self._data[i, e, lam, mu]}"
+            )
+        return self._with(self._data - other._data)
 
     # -- comparison / io -----------------------------------------------------
 

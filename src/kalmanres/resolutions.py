@@ -5,10 +5,12 @@ The coordinate ring of the variety sits inside the normalization module; the
 quotient is a twisted module of the same family with smaller subspace
 dimension.  Resolving the quotient and cancelling the isomorphic comparison
 summands via a mapping cone yields the variety's resolution.  A cancellation
-spec is a BettiTable of the matched summands.  Each cone here derives its
-spec from the two tables it joins: their multiset intersection, cut at a
-homological index for the two d = 3 stages.  That every matched summand's
-comparison component is an isomorphism is assumed, not inferred.
+spec is a BettiTable of the matched summands, over the same ring as the two
+tables, and the cone is (ambient - spec) plus (quotient - spec) moved one
+homological index down.  Each cone here derives its spec from the two
+tables it joins: their multiset intersection, cut at a homological index
+for the two d = 3 stages.  That every matched summand's comparison
+component is an isomorphism is assumed, not inferred.
 """
 
 from __future__ import annotations
@@ -62,28 +64,23 @@ def mapping_cone(
 ) -> BettiTable:
     """Betti table of the kernel of a surjection M -> N, given resolutions
     of M (ambient) and N (quotient) and the table of summands on which the
-    comparison map is an isomorphism.
-
-    Output index i collects (ambient_i minus matched) plus (quotient_{i+1}
-    minus matched).  Quotient generators that the spec leaves uncancelled
-    land at index -1; a genuine kernel resolution has none, and the derived
-    specs of the cones below leave none.  Every matched entry must exist in
-    both tables at its (i, e).
+    comparison map is an isomorphism: (ambient - matched) plus (quotient -
+    matched) moved one homological index down.  Quotient generators that the
+    spec leaves uncancelled land at index -1; a genuine kernel resolution has
+    none, and the derived specs of the cones below leave none.  Raises
+    ValueError unless the three tables share one ring, and CancellationError
+    when a table lacks a matched entry at its (i, e).
     """
-    if (ambient.ctx.d, ambient.ctx.n) != (quotient.ctx.d, quotient.ctx.n):
-        raise ValueError("tables live over different polynomial rings")
-    out = ambient.copy()
-    right = quotient.copy()
-    for i, e, lam, mu, mult in matched.entries():
-        for name, table in (("ambient", out), ("quotient", right)):
-            have = table.multiplicity(i, e, lam, mu)
-            if have < mult:
-                raise CancellationError(
-                    f"cannot cancel {mult} x ({lam.exponent_string()}; "
-                    f"{mu.exponent_string()}) at (i={i}, e={e}): {name} table has {have}"
-                )
-            table.subtract(i, e, lam, mu, mult)
-    for i, e, lam, mu, mult in right.entries():
+    shared = {"ambient": ambient & matched, "quotient": quotient & matched}  # checks every ring
+    for name, held in shared.items():
+        for i, e, lam, mu, missing in (matched - held).entries():  # raises on the first
+            have = held.multiplicity(i, e, lam, mu)
+            raise CancellationError(
+                f"cannot cancel {have + missing} x ({lam.exponent_string()}; "
+                f"{mu.exponent_string()}) at (i={i}, e={e}): {name} table has {have}"
+            )
+    out = ambient - matched
+    for i, e, lam, mu, mult in (quotient - matched).entries():
         out.add(i - 1, e, lam, mu, mult)
     return out
 

@@ -12,12 +12,13 @@ product; the Koszul table that filters unbounded LR products by length; the
 three cancellation specs of the d = 2 and d = 3 cones, listed by hand before
 each cone derived its own; the downward replay of the inductive sequence in
 the n = d+1 corner; and the graded F_p Hilbert function that ranks every
-weight block, not one per Weyl orbit.
+weight block, not one per Weyl orbit, here on this file's own determinant,
+elimination, minor index sets and torus weights.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 from kalmanres.bott import GrassmannianContext, cohomology_of_summand
 from kalmanres.geometric import (
@@ -674,7 +675,65 @@ def kalman_stack_rank(phi, d, p):
     return len(echelon_unblocked(np.vstack(blocks).astype(np.int64), p)[1])
 
 
-# -- Hilbert function by dense evaluation --------------------------------------
+# -- Hilbert function by evaluation -------------------------------------------
+#
+# The two oracles below draw their points and stack them with the library's
+# SplitMix64 and reduced_kalman_matrix (SplitMix64 is checked on its own
+# against splitmix64_stream), so their outputs match bit for bit.  Everything
+# after that is their own: the minors come from permutation_det, the ranks
+# from echelon_unblocked, the minor index sets from stack_minors and the
+# torus weights from torus_weight.
+
+
+def permutation_det(a, p):
+    """Determinants over F_p of a stack of square matrices, shape (..., k, k),
+    by the Leibniz formula: the sum over permutations sigma of sign(sigma)
+    times the product of the a[i, sigma(i)], vectorised over the leading
+    axes."""
+    import numpy as np
+
+    a = np.asarray(a, dtype=np.int64) % p
+    size = a.shape[-1]
+    total = np.zeros(a.shape[:-2], dtype=np.int64)
+    for sigma in permutations(range(size)):
+        term = np.ones(a.shape[:-2], dtype=np.int64)
+        for i, j in enumerate(sigma):
+            term = term * a[..., i, j] % p
+        inversions = sum(sigma[i] > sigma[j] for i, j in combinations(range(size), 2))
+        total = (total - term if inversions % 2 else total + term) % p
+    return total
+
+
+def stack_minors(s, d, n):
+    """(rows, cols, degree) of every (d-s+1)-minor of the d(n-d) x d stack
+    (gamma; gamma alpha; ...; gamma alpha^{d-1}): rows of block j are
+    polynomials of degree j+1 in phi, so a minor's degree is the sum over its
+    rows."""
+    k = d - s + 1
+    return [
+        (rows, cols, sum(r // (n - d) + 1 for r in rows))
+        for rows in combinations(range(d * (n - d)), k)
+        for cols in combinations(range(d), k)
+    ]
+
+
+def torus_weight(d, n, rows, cols, mono):
+    """Weight in Z^n of (the minor on rows x cols) times (the product of the
+    variables in mono) under phi -> t phi t^-1, t = diag(t_1, ..., t_n).
+    Variable a n + b is phi[a, b], of weight e_a - e_b, and n^2 is the
+    constant 1.  Stack row r is row d + r mod (n-d) of phi times powers of
+    alpha, so the minor weighs e_{d + r mod (n-d)} per row and -e_c per
+    column c."""
+    w = [0] * n
+    for r in rows:
+        w[d + r % (n - d)] += 1
+    for c in cols:
+        w[c] -= 1
+    for var in mono:
+        if var < n * n:
+            w[var // n] += 1
+            w[var % n] -= 1
+    return tuple(w)
 
 
 def hilbert_function_dense(s, d, n, k_max, seed, p):
@@ -689,19 +748,10 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
 
     import numpy as np
 
-    from kalmanres.kalman import (
-        HF_MARGIN,
-        HF_REPEATS,
-        KalmanPoint,
-        SplitMix64,
-        _det_mod,
-        _echelon,
-        _minor_indices,
-        reduced_kalman_matrix,
-    )
+    from kalmanres.kalman import HF_MARGIN, HF_REPEATS, KalmanPoint, SplitMix64, reduced_kalman_matrix
 
     nn = n * n
-    minors = _minor_indices(s, d, n)
+    minors = stack_minors(s, d, n)
     minor_rows = np.array([rows for rows, _, _ in minors])[:, :, None]
     minor_cols = np.array([cols for _, cols, _ in minors])[:, None, :]
     rng = SplitMix64(seed)
@@ -722,14 +772,14 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
                 pt = KalmanPoint(d, n, rng.matrix(n, n, p), p)
                 flats[t] = pt.phi.reshape(-1)
                 stacks[t] = reduced_kalman_matrix(pt).data
-            minor_vals = _det_mod(stacks[:, minor_rows, minor_cols], p)
+            minor_vals = permutation_det(stacks[:, minor_rows, minor_cols], p)
             mat = np.empty((len(row_specs), npts), dtype=np.int64)
             for r, (idx, mono) in enumerate(row_specs):
                 vals = minor_vals[:, idx].copy()
                 for var in mono:
                     vals = (vals * flats[:, var]) % p
                 mat[r] = vals
-            dim_k = max(dim_k, len(_echelon(mat, p)[1]))
+            dim_k = max(dim_k, len(echelon_unblocked(mat, p)[1]))
         hf.append(comb(nn + k - 1, k) - dim_k)
     return hf
 
@@ -745,55 +795,42 @@ def hilbert_function_all_weights(s, d, n, k_max, seed, p):
 
     import numpy as np
 
-    from kalmanres.kalman import (
-        HF_MARGIN,
-        HF_REPEATS,
-        KalmanPoint,
-        SplitMix64,
-        _det_mod,
-        _echelon,
-        _minor_indices,
-        _row_weights,
-        reduced_kalman_matrix,
-    )
+    from kalmanres.kalman import HF_MARGIN, HF_REPEATS, KalmanPoint, SplitMix64, reduced_kalman_matrix
 
     nn = n * n
     dims = [comb(nn + k - 1, k) for k in range(k_max + 1)]
-    minors = _minor_indices(s, d, n)
+    minors = stack_minors(s, d, n)
     minor_rows = np.array([rows for rows, _, _ in minors])
     minor_cols = np.array([cols for _, cols, _ in minors])
     rng = SplitMix64(seed)
     hf = []
     for k in range(k_max + 1):
         # row = (minor idx[i]) x (monomial monos[i]), padded to length k by
-        # the constant 1 (variable nn)
-        idx, monos = [], []
-        for i, (_, _, deg) in enumerate(minors):
+        # the constant 1 (variable nn); blocks: weight -> its rows
+        idx, monos, blocks = [], [], {}
+        for i, (rows, cols, deg) in enumerate(minors):
             if deg <= k:
                 for mono in combinations_with_replacement(range(nn), k - deg):
+                    blocks.setdefault(torus_weight(d, n, rows, cols, mono), []).append(len(idx))
                     idx.append(i)
                     monos.append(mono + (nn,) * deg)
         dim_k = 0
         if idx:
             idx, monos = np.array(idx), np.array(monos)
-            weights = _row_weights(d, n, minor_rows[idx], minor_cols[idx], monos)
-            _, inverse, counts = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
-            # blocks[b]: the rows whose weight is the b-th distinct one
-            blocks = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
-            ranks = np.zeros(len(blocks), dtype=np.int64)
-            npts = min(int(counts.max()), dims[k]) + HF_MARGIN
+            ranks = dict.fromkeys(blocks, 0)
+            npts = min(max(map(len, blocks.values())), dims[k]) + HF_MARGIN
             for _ in range(HF_REPEATS):
                 phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
                 flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
                 stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
-                minor_vals = _det_mod(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
-                for b, block in enumerate(blocks):
+                minor_vals = permutation_det(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
+                for w, block in blocks.items():
                     m = min(len(block), dims[k]) + HF_MARGIN
                     vals = minor_vals[:m, idx[block]]
                     for j in range(k):
                         vals = vals * flats[:m, monos[block, j]] % p
                     # points x rows: its rank is the rank of the block's rows
-                    ranks[b] = max(ranks[b], len(_echelon(vals, p)[1]))
-            dim_k = int(ranks.sum())
+                    ranks[w] = max(ranks[w], len(echelon_unblocked(vals, p)[1]))
+            dim_k = sum(ranks.values())
         hf.append(dims[k] - dim_k)
     return hf

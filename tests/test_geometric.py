@@ -167,12 +167,14 @@ class TestCohomologyTable:
 
 
 class TestBettiTable:
-    def make(self):
-        t = BettiTable(GrassmannianContext(1, 2, 4))
-        t.add(0, 0, (), ())
-        t.add(1, 2, (1, 1), (1, 1))
-        t.add(1, 2, (1,), (1,), 2)
+    def table(self, *entries, ctx=GrassmannianContext(1, 2, 4)):
+        t = BettiTable(ctx)
+        for entry in entries:
+            t.add(*entry)
         return t
+
+    def make(self):
+        return self.table((0, 0, (), ()), (1, 2, (1, 1), (1, 1)), (1, 2, (1,), (1,), 2))
 
     def test_add_and_multiplicity(self):
         t = self.make()
@@ -202,14 +204,21 @@ class TestBettiTable:
         t.add_nonzero(0, 0, (), (1, 1, 1))
         assert len(t) == 0
 
-    def test_subtract_and_underflow(self):
+    def test_difference_needs_containment_and_one_ring(self):
         t = self.make()
-        t.subtract(1, 2, (1,), (1,), 2)
-        assert t.multiplicity(1, 2, (1,), (1,)) == 0
-        with pytest.raises(ValueError):
-            t.subtract(1, 2, (1,), (1,))
-        with pytest.raises(ValueError):
-            t.subtract(0, 0, (), (), 2)
+        rest = t - self.table((1, 2, (1,), (1,), 2))
+        assert list(rest.entries()) == [(0, 0, (), (), 1), (1, 2, (1, 1), (1, 1), 1)]
+        assert rest.ctx == t.ctx and t == self.make()  # the operands are untouched
+        with pytest.raises(ValueError, match=r"cannot remove 1 x .* at \(i=1, e=2\); have 0"):
+            rest - self.table((1, 2, (1,), (1,)))
+        with pytest.raises(ValueError, match=r"cannot remove 2 x .* at \(i=0, e=0\); have 1"):
+            t - self.table((0, 0, (), (), 2))
+        # over another (d, n) even an entry the table holds is refused; s is
+        # not part of the ring
+        other = self.table((0, 0, (), ()), ctx=GrassmannianContext(1, 2, 5))
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            t - other
+        assert t - BettiTable(GrassmannianContext(2, 2, 4)) == t
 
     def test_entries_sorted_deterministic(self):
         t = self.make()
@@ -264,8 +273,7 @@ class TestBettiTable:
         assert len(t) == 3  # the multiplicity-2 entry counts once
         t.add(1, 2, (1,), (1,))
         assert len(t) == 3
-        t.subtract(0, 0, (), ())
-        assert len(t) == 2
+        assert len(t - self.table((0, 0, (), ()))) == 2
         assert len(BettiTable(t.ctx)) == 0
 
     def test_equality_compares_the_ring(self):
@@ -325,7 +333,7 @@ class TestBettiTable:
     def test_equality_and_diff(self):
         a, b = self.make(), self.make()
         assert a == b and not (a != b)
-        b.subtract(1, 2, (1,), (1,))
+        b = b - self.table((1, 2, (1,), (1,)))
         assert a != b
         assert "(i=1, e=2)" in a.diff(b)
         assert a.diff(a) == "(equal)"

@@ -1,8 +1,12 @@
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kalmanres import cli, geometric, resolutions
 from kalmanres.bott import GrassmannianContext
@@ -45,33 +49,45 @@ def _at(table, i, e):
     return {(lam, mu): m for j, f, lam, mu, m in table.entries() if (j, f) == (i, e)}
 
 
-@pytest.fixture
-def specs(monkeypatch):
-    """run(cone, n) calls cone(n) and returns the cancellation specs it
-    passed to mapping_cone, in call order."""
-
-    def run(cone, n):
-        seen = []
-
-        def record(ambient, quotient, matched):
-            seen.append(matched)
-            return mapping_cone(ambient, quotient, matched)
-
-        monkeypatch.setattr(resolutions, "mapping_cone", record)
+@lru_cache(maxsize=None)
+def cone_inputs(cone, n):
+    """The (ambient, quotient, spec) triples that cone(n) passes to
+    mapping_cone, in call order."""
+    with mock.patch.object(resolutions, "mapping_cone", wraps=mapping_cone) as spy:
         cone(n)
-        return seen
+    return [call.args for call in spy.call_args_list]
 
-    return run
+
+def specs(cone, n):
+    """The cancellation specs that cone(n) passes to mapping_cone."""
+    return [spec for _, _, spec in cone_inputs(cone, n)]
+
+
+SHIPPED_CONES = [(cone_table_d2, n) for n in range(3, 9)] + [(kalman_cone_d3, n) for n in range(4, 9)]
+
+
+@st.composite
+def sub_specs(draw):
+    """(ambient, quotient, spec): one stage of a shipped cone at n <= 6 and
+    a sub-multiset of everything its two tables share."""
+    cone, n = draw(st.sampled_from([(cone, n) for cone, n in SHIPPED_CONES if n <= 6]))
+    ambient, quotient, _ = draw(st.sampled_from(cone_inputs(cone, n)))
+    spec = BettiTable(ambient.ctx)
+    for i, e, lam, mu, mult in (ambient & quotient).entries():
+        keep = draw(st.integers(0, mult))
+        if keep:
+            spec.add(i, e, lam, mu, keep)
+    return ambient, quotient, spec
 
 
 class TestCancellationSpec:
-    def test_d2_spec_content(self, specs):
+    def test_d2_spec_content(self):
         [spec] = specs(cone_table_d2, 5)
         entries = list(spec.entries())
         assert [(i, e) for i, e, _, _, _ in entries] == [(0, 1), (1, 2), (2, 3), (3, 4)]
         assert entries[3][2] == (3,) and entries[3][3] == (1, 1, 1)
 
-    def test_d3_specs_prune_with_n(self, specs):
+    def test_d3_specs_prune_with_n(self):
         # at n=4 the complement space is a line; multi-row W-labels drop out
         [full] = specs(intermediate_table_d3, 8)
         [small] = specs(intermediate_table_d3, 4)
@@ -80,7 +96,7 @@ class TestCancellationSpec:
         assert all(mu.length() <= 1 for _, _, _, mu, _ in small.entries())
         assert len(specs(kalman_cone_d3, 8)[1]) == 6
 
-    def test_derived_specs_equal_the_hand_lists(self, specs):
+    def test_derived_specs_equal_the_hand_lists(self):
         for n in range(3, 16):
             assert specs(cone_table_d2, n) == [d2_cancellations(n)], n
         for n in range(4, 15):
@@ -217,15 +233,44 @@ class TestMappingCone:
         with pytest.raises(ValueError):
             mapping_cone(ambient, other, self.matched())
 
-    def test_hilbert_series_identity_toy(self):
-        # spec property: HS(cone) = HS(ambient) - HS(quotient), empty spec
+    def test_spec_over_another_ring_rejected(self):
+        # the spec's labels are in both tables, but over (d, n) = (3, 9)
         ambient, quotient = self.toy_tables()
-        for spec in (self.matched(), self.matched((0, 1, (), ()))):
-            out = mapping_cone(ambient, quotient, spec)
-            # index -1 entries flip sign; hilbert_series handles any index
-            assert hilbert_series(out) == (
-                hilbert_series(ambient) - hilbert_series(quotient)
-            )
+        spec = BettiTable(GrassmannianContext(1, 3, 9))
+        spec.add(0, 1, (), ())
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            mapping_cone(ambient, quotient, spec)
+        # a ring mismatch among any of the three is reported before a
+        # missing entry
+        spec.add(1, 2, (1,), (1,))
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            mapping_cone(ambient, quotient, spec)
+        other = BettiTable(GrassmannianContext(1, 2, 5))
+        other.add(0, 1, (), ())
+        with pytest.raises(ValueError, match="different polynomial rings"):
+            mapping_cone(ambient, other, self.matched((1, 2, (1,), (1,))))
+
+    @staticmethod
+    def assert_series_identity(ambient, quotient, spec):
+        # HS(cone) = HS(ambient) - HS(quotient): a cancelled pair adds and
+        # removes the same series at adjacent indices; index -1 entries
+        # flip sign, and hilbert_series handles any index
+        out = mapping_cone(ambient, quotient, spec)
+        assert hilbert_series(out) == hilbert_series(ambient) - hilbert_series(quotient)
+
+    def test_hilbert_series_identity_toy(self):
+        # the toy specs, then every spec the shipped cones derive: d = 2 at
+        # n = 3..8 and both d = 3 stages at n = 4..8
+        ambient, quotient = self.toy_tables()
+        cases = [(ambient, quotient, self.matched()), (ambient, quotient, self.matched((0, 1, (), ())))]
+        cases += [triple for cone, n in SHIPPED_CONES for triple in cone_inputs(cone, n)]
+        for case in cases:
+            self.assert_series_identity(*case)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(sub_specs())
+    def test_hilbert_series_identity_sub_specs(self, case):
+        self.assert_series_identity(*case)
 
     def test_hilbert_series_identity_shipped_specs(self):
         for n in (4, 5, 6):
@@ -519,8 +564,9 @@ class TestConjecture:
         def dropping(s, d):
             t = closed_form(s, d)
             if s == 2:
-                i, e, lam, mu, _ = next(t.entries())
-                t.subtract(i, e, lam, mu)
+                first = BettiTable(t.ctx)
+                first.add(*next(t.entries())[:4])
+                t = t - first
             return t
 
         monkeypatch.setattr(resolutions, "table_w_line", dropping)
