@@ -27,7 +27,8 @@ result is reproducible bit-for-bit from its seed.
 numpy is imported inside each function that uses it, not at module level:
 the CLI and the package import this module, and the symbolic subcommands,
 which never call it, would otherwise spend most of their start-up loading
-numpy.
+numpy.  The CLI pins OpenBLAS to one thread before numpy loads; this module
+sets no thread count, so a library caller keeps its own BLAS policy.
 """
 
 from __future__ import annotations

@@ -664,25 +664,31 @@ def sample_generic_oracle(n, seed, p):
     return _draw_matrix(splitmix64_stream(seed), n, n, p)
 
 
-def kalman_stack_rank(phi, d, p):
-    """Rank over F_p of the stack (gamma; gamma alpha; ...) of one phi."""
+def kalman_stack(phi, d, p):
+    """The stack (gamma; gamma alpha; ...; gamma alpha^{d-1}) over F_p of phi,
+    or of each phi of a stack (..., n, n), from exact object-dtype products."""
     import numpy as np
 
-    alpha, block = phi[:d, :d].astype(object), phi[d:, :d].astype(object)
-    blocks = [block]
+    phi = np.asarray(phi, dtype=object) % p
+    alpha, blocks = phi[..., :d, :d], [phi[..., d:, :d]]
     for _ in range(d - 1):
         blocks.append(blocks[-1] @ alpha % p)
-    return len(echelon_unblocked(np.vstack(blocks).astype(np.int64), p)[1])
+    return np.concatenate(blocks, axis=-2).astype(np.int64)
+
+
+def kalman_stack_rank(phi, d, p):
+    """Rank over F_p of the stack (gamma; gamma alpha; ...) of one phi."""
+    return len(echelon_unblocked(kalman_stack(phi, d, p), p)[1])
 
 
 # -- Hilbert function by evaluation -------------------------------------------
 #
-# The two oracles below draw their points and stack them with the library's
-# SplitMix64 and reduced_kalman_matrix (SplitMix64 is checked on its own
-# against splitmix64_stream), so their outputs match bit for bit.  Everything
-# after that is their own: the minors come from permutation_det, the ranks
-# from echelon_unblocked, the minor index sets from stack_minors and the
-# torus weights from torus_weight.
+# The two oracles below draw their points with the library's SplitMix64
+# (checked on its own against splitmix64_stream), so their outputs match bit
+# for bit.  Everything after that is their own: the stacks come from
+# kalman_stack, the minors from permutation_det, the ranks from
+# echelon_unblocked, the minor index sets from stack_minors and the torus
+# weights from torus_weight.
 
 
 def permutation_det(a, p):
@@ -748,7 +754,7 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
 
     import numpy as np
 
-    from kalmanres.kalman import HF_MARGIN, HF_REPEATS, KalmanPoint, SplitMix64, reduced_kalman_matrix
+    from kalmanres.kalman import HF_MARGIN, HF_REPEATS, SplitMix64
 
     nn = n * n
     minors = stack_minors(s, d, n)
@@ -769,9 +775,9 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
             flats = np.empty((npts, nn), dtype=np.int64)
             stacks = np.empty((npts, d * (n - d), d), dtype=np.int64)
             for t in range(npts):
-                pt = KalmanPoint(d, n, rng.matrix(n, n, p), p)
-                flats[t] = pt.phi.reshape(-1)
-                stacks[t] = reduced_kalman_matrix(pt).data
+                phi = rng.matrix(n, n, p)
+                flats[t] = phi.reshape(-1)
+                stacks[t] = kalman_stack(phi, d, p)
             minor_vals = permutation_det(stacks[:, minor_rows, minor_cols], p)
             mat = np.empty((len(row_specs), npts), dtype=np.int64)
             for r, (idx, mono) in enumerate(row_specs):
@@ -795,7 +801,7 @@ def hilbert_function_all_weights(s, d, n, k_max, seed, p):
 
     import numpy as np
 
-    from kalmanres.kalman import HF_MARGIN, HF_REPEATS, KalmanPoint, SplitMix64, reduced_kalman_matrix
+    from kalmanres.kalman import HF_MARGIN, HF_REPEATS, SplitMix64
 
     nn = n * n
     dims = [comb(nn + k - 1, k) for k in range(k_max + 1)]
@@ -822,7 +828,7 @@ def hilbert_function_all_weights(s, d, n, k_max, seed, p):
             for _ in range(HF_REPEATS):
                 phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
                 flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
-                stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
+                stacks = kalman_stack(phis, d, p)
                 minor_vals = permutation_det(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
                 for w, block in blocks.items():
                     m = min(len(block), dims[k]) + HF_MARGIN

@@ -314,21 +314,33 @@ class TestVerify:
 
 
 # Runs CLI calls in one fresh interpreter: the calls' stdout goes to stdout,
-# and the last stderr line is a JSON list of [call, exit code, whether numpy
-# is loaded after it], led by ["import", None, ...] for the bare imports.
+# and the last stderr line is a JSON object.  Its "calls" is a list of [call,
+# exit code, whether numpy is loaded after it], led by ["import", None, ...]
+# for the bare imports; after the last call, "blas_env" is the process's
+# OPENBLAS_NUM_THREADS and "threads" its thread count (None without
+# /proc/self/task).
 _STARTUP_PROBE = """
-import json, sys
+import json, os, sys
 import kalmanres, kalmanres.cli
 report = [["import", None, "numpy" in sys.modules]]
 for call in json.loads(sys.argv[1]):
     code = kalmanres.cli.main(call.split())
     report.append([call, code, "numpy" in sys.modules])
-print(json.dumps(report), file=sys.stderr)
+tasks = "/proc/self/task"
+print(json.dumps({
+    "calls": report,
+    "blas_env": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}), file=sys.stderr)
 """
 
 
-def run_fresh(calls):
-    env = dict(os.environ)
+def run_fresh(calls, blas_threads=None):
+    """Run calls in a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    blas_threads, or unset when it is None; returns (stdout, probe object)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE, json.dumps(calls)],
@@ -341,7 +353,8 @@ def run_fresh(calls):
 
 
 class TestStartup:
-    """Only the F_p subcommands load numpy, and only when they run."""
+    """Only the F_p subcommands load numpy, and only when they run; the CLI
+    loads it with one OpenBLAS thread unless the caller chose a count."""
 
     VERIFY_CALLS = {
         "prop-2-2": "--d 2 --n 5",
@@ -363,11 +376,43 @@ class TestStartup:
             "cohomology --s 2 --d 3 --n 8 --q 1",
             "conjecture --d 2 --n 5",
         ] + [f"verify {vid} {rest}".strip() for vid, rest in self.VERIFY_CALLS.items()]
-        _, report = run_fresh(calls)
+        _, probe = run_fresh(calls)
+        report = probe["calls"]
         assert [row[0] for row in report] == ["import"] + calls
         assert [row for row in report if row[1] not in (None, OK) or row[2]] == []
 
     def test_fp_subcommand_loads_numpy_with_unchanged_output(self):
-        stdout, report = run_fresh(["codim --s 1 --d 3 --n 5 --json"])
-        assert report == [["import", None, False], ["codim --s 1 --d 3 --n 5 --json", OK, True]]
+        stdout, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"])
+        assert probe["calls"] == [["import", None, False], ["codim --s 1 --d 3 --n 5 --json", OK, True]]
         assert stdout == (ROOT / "bench" / "reference" / "codim_s_1_d_3_n_5.stdout").read_bytes()
+        assert probe["blas_env"] == "1"
+        if probe["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert probe["threads"] == 1  # OpenBLAS starts one thread per core without the cap
+
+    def test_a_blas_thread_count_already_set_is_kept(self):
+        _, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"], blas_threads="2")
+        assert probe["calls"][-1] == ["codim --s 1 --d 3 --n 5 --json", OK, True]
+        assert probe["blas_env"] == "2"
+
+    def test_main_leaves_the_environment_alone_once_numpy_is_loaded(self, monkeypatch):
+        import numpy  # noqa: F401  (an in-process caller that loaded BLAS already)
+
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["codim", "--s", "1", "--d", "3", "--n", "5"]) == OK
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_fp_outputs_do_not_depend_on_the_blas_thread_count(self, blas_threads):
+        # every modular product sums integers below 2^53 in float64: exact
+        # in any summation order and any split between threads
+        references = {
+            "hf --s 1 --d 2 --n 4 --kmax 5 --json": "hf_s_1_d_2_n_4_kmax_5",
+            "codim --s 2 --d 4 --n 7 --json": "codim_s_2_d_4_n_7",
+            "kalman-test --s 2 --d 4 --n 7 --trials 1000 --json": "kalman_test_s_2_d_4_n_7_trials_1000",
+        }
+        stdout, probe = run_fresh(list(references), blas_threads=blas_threads)
+        assert [row[1] for row in probe["calls"][1:]] == [OK] * len(references)
+        assert probe["blas_env"] == blas_threads
+        reference = ROOT / "bench" / "reference"
+        assert stdout == b"".join((reference / f"{name}.stdout").read_bytes() for name in references.values())
