@@ -5,8 +5,8 @@ failed), 2 usage error, 3 refused (resource budget).  JSON goes to stdout
 with --json; diagnostics go to stderr.
 
 main() loads numpy with one OpenBLAS thread: unless numpy is already loaded,
-it sets OPENBLAS_NUM_THREADS=1 when that is unset (set it to choose another
-count).  A second thread only spins on the small F_p kernels, and every
+it sets OPENBLAS_NUM_THREADS=1 when that is unset or empty (set it to choose
+another count).  A second thread only spins on the small F_p kernels, and every
 modular product sums integers below 2^53 in float64, exact under any split.
 """
 
@@ -428,8 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:  # an in-process caller keeps its BLAS as loaded
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # an in-process caller keeps its BLAS as loaded; OpenBLAS reads an empty value as unset
+    if "numpy" not in sys.modules and not os.environ.get("OPENBLAS_NUM_THREADS"):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

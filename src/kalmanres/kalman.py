@@ -218,23 +218,6 @@ def _gauss_jordan(a: np.ndarray, p: int):
     return e.reshape(a.shape), rank.reshape(a.shape[:-2])
 
 
-def _inverse_mod(a: np.ndarray, p: int):
-    """(inverse, invertible) over F_p of each matrix of a stack (..., k, k),
-    from the eliminated [a | I]: a is invertible iff column k-1 holds a
-    pivot, and row i of its inverse is row i of the right block over the
-    pivot x in column i, 1/x = x^(p-2) (Fermat).  Garbage where singular."""
-    import numpy as np
-    size = a.shape[-1]
-    eye = np.broadcast_to(np.eye(size, dtype=np.int64), a.shape)
-    e, _ = _gauss_jordan(np.concatenate([a, eye], axis=-1), p)
-    x = np.diagonal(e[..., :size], axis1=-2, axis2=-1)
-    inv = np.ones_like(x)
-    for bit in bin(p - 2)[2:]:  # square-and-multiply, high bit first
-        inv = inv * inv % p
-        inv = inv * x % p if bit == "1" else inv
-    return e[..., size:] * inv[..., None] % p, e[..., size - 1, size - 1] != 0
-
-
 def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Determinants over F_p of a stack of small square matrices, shape
     (..., k, k), by Laplace expansion along the first row, vectorised over
@@ -327,30 +310,26 @@ def minors_vanish(m: FpMatrix, k: int):
 
 
 def sample_member(s: int, d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
-    """Deterministic random point of the variety: start from phi0 that
-    preserves span(e_1..e_s) and conjugate by a random invertible g that
-    preserves L, so the invariant subspace is a generic s-plane inside L.
-    A sequence of seeds gives a stack: each point as its seed gives it alone."""
+    """Deterministic random point of the variety, drawn from its invariant
+    s-plane: draw phi (n x n), then x ((d-s) x s), and let U = [I_s; x; 0],
+    whose columns span an s-plane inside L.  With b the drawn phi[:s, :s],
+    phi's first s columns become U b - phi[:, s:d] x, so phi U = U b exactly
+    and phi is uniform among the maps that keep U.  U ranges over the
+    s-planes in L that meet span(e_{s+1}..e_d) only in 0: a dense open set
+    that misses O(1/p) of them.  A sequence of seeds gives a stack: each
+    point as its seed gives it alone."""
     import numpy as np
     _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     rng = SplitMix64(seed)
-    phi0 = rng.matrix(n, n, p)
-    phi0[..., s:, :s] = 0
-    phi, pending = phi0, np.ones(rng.shape, dtype=bool)
-    for _ in range(100):  # a singular g is redrawn from its own seed's next draws
-        g = np.zeros(rng.shape + (n, n), dtype=np.int64)
-        g[..., :d, :d] = rng.matrix(d, d, p)
-        g[..., :d, d:] = rng.matrix(d, n - d, p)
-        g[..., d:, d:] = rng.matrix(n - d, n - d, p)
-        g_inv, invertible = _inverse_mod(g, p)
-        conj = _matmul_mod(_matmul_mod(g, phi0, p), g_inv, p)
-        phi = np.where((pending & invertible)[..., None, None], conj, phi)
-        pending = pending & ~invertible
-        if not pending.any():
-            return KalmanPoint(d, n, phi, p)
-    raise RuntimeError("failed to sample an invertible block matrix")  # p is huge
+    phi = rng.matrix(n, n, p)
+    x = rng.matrix(d - s, s, p)
+    u = np.zeros(rng.shape + (n, s), dtype=np.int64)
+    u[..., :s, :] = np.eye(s, dtype=np.int64)
+    u[..., s:d, :] = x
+    phi[..., :s] = (_matmul_mod(u, phi[..., :s, :s], p) - _matmul_mod(phi[..., s:d], x, p)) % p
+    return KalmanPoint(d, n, phi, p)
 
 
 def sample_generic(d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:

@@ -598,18 +598,6 @@ def reduced_echelon(mat, p):
     return e, pivots
 
 
-def inverse_mod(a, p):
-    """Inverse of a square matrix over F_p, or None if it is singular: the
-    right block of the reduced form of [a | I]."""
-    import numpy as np
-
-    size = len(a)
-    e, pivots = reduced_echelon(np.hstack([a, np.eye(size, dtype=np.int64)]), p)
-    if pivots[-1] >= size:
-        return None
-    return e[:, size:]
-
-
 # -- seeded sampling, one seed at a time ----------------------------------------
 
 
@@ -639,24 +627,19 @@ def _draw_matrix(stream, rows, cols, p):
 
 
 def sample_member_oracle(s, d, n, seed, p):
-    """kalman.sample_member for one seed as a loop over attempts: phi0 with
-    span(e_1..e_s) invariant, conjugated by the first invertible g that
-    preserves L, with products on Python ints.  Returns (phi, attempts)."""
+    """kalman.sample_member for one seed, on Python ints: phi (n x n), then
+    x ((d-s) x s), from the stream; U = [I_s; x; 0], and phi's first s
+    columns become U b - phi[:, s:d] x, b the drawn phi[:s, :s]."""
     import numpy as np
 
     stream = splitmix64_stream(seed)
-    phi0 = _draw_matrix(stream, n, n, p).astype(object)
-    phi0[s:, :s] = 0
-    for attempt in range(1, 101):
-        g = np.zeros((n, n), dtype=np.int64)
-        g[:d, :d] = _draw_matrix(stream, d, d, p)
-        g[:d, d:] = _draw_matrix(stream, d, n - d, p)
-        g[d:, d:] = _draw_matrix(stream, n - d, n - d, p)
-        g_inv = inverse_mod(g, p)
-        if g_inv is not None:
-            phi = (g.astype(object) @ phi0 % p) @ g_inv.astype(object) % p
-            return phi.astype(np.int64), attempt
-    raise RuntimeError("failed to sample an invertible block matrix")
+    phi = _draw_matrix(stream, n, n, p).astype(object)
+    x = _draw_matrix(stream, d - s, s, p).astype(object)
+    u = np.zeros((n, s), dtype=object)
+    u[:s] = np.eye(s, dtype=int)
+    u[s:d] = x
+    phi[:, :s] = (u @ phi[:s, :s] - phi[:, s:d] @ x) % p
+    return phi.astype(np.int64)
 
 
 def sample_generic_oracle(n, seed, p):

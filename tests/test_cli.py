@@ -222,7 +222,7 @@ class TestKalmanSampling:
         argv = ["kalman-test", "--s", "1", "--d", "2", "--n", "4", "--trials", str(trials), "--seed", str(seed)]
         code, payload = run_json(capsys, argv)
         sound = sum(
-            kalman_stack_rank(sample_member_oracle(s, d, n, seed + t, p)[0], d, p) <= d - s
+            kalman_stack_rank(sample_member_oracle(s, d, n, seed + t, p), d, p) <= d - s
             for t in range(trials)
         )
         nonzero = sum(
@@ -389,6 +389,15 @@ class TestStartup:
         if probe["threads"] is None:
             pytest.skip("no /proc/self/task to count threads")
         assert probe["threads"] == 1  # OpenBLAS starts one thread per core without the cap
+
+    def test_an_empty_blas_thread_count_becomes_one(self):
+        # OpenBLAS reads an empty value as unset and starts one thread per core
+        _, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"], blas_threads="")
+        assert probe["calls"][-1] == ["codim --s 1 --d 3 --n 5 --json", OK, True]
+        assert probe["blas_env"] == "1"
+        if probe["threads"] is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert probe["threads"] == 1
 
     def test_a_blas_thread_count_already_set_is_kept(self):
         _, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"], blas_threads="2")
