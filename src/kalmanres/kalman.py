@@ -4,10 +4,11 @@ Everything here works directly with matrices, independent of the
 representation-theoretic machinery: build the stacked matrix (gamma;
 gamma*alpha; ...; gamma*alpha^{d-1}) whose minor vanishing cuts out the
 variety, sample points on and off it, measure the Jacobian rank of the
-minors, and estimate the minor ideal's Hilbert function by evaluation,
-one rank per weight of the diagonal torus up to the Levi's Weyl group: the
-Levi GL(L) x GL(V/L) maps the stack M to (I x B) M A^-1, so it keeps each
-I_k, and S_d x S_{n-d} permutes the weight blocks, their sizes and ranks.
+minors, and estimate the minor ideal's Hilbert function by evaluation in
+A_0 = k[alpha, gamma], the ring of the minors, one rank per weight of the
+diagonal torus up to the Levi's Weyl group: the Levi GL(L) x GL(V/L) maps
+the stack M to (I x B) M A^-1 and keeps A_0, so it keeps each I_k in A_0,
+and S_d x S_{n-d} permutes the weight blocks, their sizes and ranks.
 
 Elimination over F_p has two kernels, and the input's shape selects one: a
 single matrix goes through the blocked _echelon (panels of BLOCK = 64
@@ -218,24 +219,34 @@ def _gauss_jordan(a: np.ndarray, p: int):
     return e.reshape(a.shape), rank.reshape(a.shape[:-2])
 
 
-def _det_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Determinants over F_p of a stack of small square matrices, shape
-    (..., k, k), by Laplace expansion along the first row, vectorised over
-    the leading axes: one call gives every minor of numeric_hilbert_function
-    at every sampled point.  Entries are reduced below p < 2^31, so each
-    product of two residues fits in int64, and every term is reduced before
-    it is added."""
+@lru_cache(maxsize=None)
+def _minor_table(rows: int, cols: int, k: int):
+    """The k-minors of a rows x cols matrix on every row and column k-subset,
+    as a memoised Laplace expansion: one level (at, on, sub) per size j =
+    1..k, keyed by the j-minors on rows at[i] and columns on[i] (size j needs
+    only the columns in range(cols - k + j)).  Minor i is sum_t (-1)^(t+j-1)
+    m[at[i, t], on[i, -1]] times the (j-1)-minor sub[i, t], on rows at[i]
+    without at[i, t] and columns on[i, :-1], which is computed once."""
     import numpy as np
-    a = np.asarray(a, dtype=np.int64) % p
-    size = a.shape[-1]
-    if size == 1:
-        return a[..., 0, 0]
-    total = np.zeros(a.shape[:-2], dtype=np.int64)
-    rest = a[..., 1:, :]
-    for j in range(size):
-        term = a[..., 0, j] * _det_mod(np.delete(rest, j, axis=-1), p) % p
-        total = (total - term if j % 2 else total + term) % p
-    return total
+    levels, index = [], {((), ()): 0}
+    for j in range(1, k + 1):
+        keys = [(r, c) for r in combinations(range(rows), j) for c in combinations(range(cols - k + j), j)]
+        sub = [[index[r[:t] + r[t + 1 :], c[:-1]] for t in range(j)] for r, c in keys]
+        levels.append((np.array([r for r, _ in keys]), np.array([c for _, c in keys]), np.array(sub)))
+        index = {key: i for i, key in enumerate(keys)}
+    return levels
+
+
+def _minor_values(stacks: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The k-minors over F_p of each matrix of a stack (..., rows, cols), in
+    the order of _minor_table's last level: shape (..., minors)."""
+    import numpy as np
+    stacks = np.asarray(stacks, dtype=np.int64) % p
+    vals = np.ones(stacks.shape[:-2] + (1,), dtype=np.int64)
+    for j, (at, on, sub) in enumerate(_minor_table(*stacks.shape[-2:], k), 1):
+        terms = (stacks[..., at[:, t], on[:, -1]] * vals[..., sub[:, t]] % p for t in range(j))
+        vals = sum((-1) ** (t + j - 1) * term for t, term in enumerate(terms)) % p
+    return vals
 
 
 @dataclass(frozen=True)
@@ -341,19 +352,6 @@ def sample_generic(d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
     return KalmanPoint(d, n, rng.matrix(n, n, p), p)
 
 
-def _minor_indices(s: int, d: int, n: int):
-    """All (rows, cols, degree) index pairs of the (d-s+1)-minors of the
-    stacked matrix; degree = sum of (block+1) over chosen rows."""
-    k = d - s + 1
-    total_rows = d * (n - d)
-    out = []
-    for rows in combinations(range(total_rows), k):
-        deg = sum(r // (n - d) + 1 for r in rows)
-        for cols in combinations(range(d), k):
-            out.append((rows, cols, deg))
-    return out
-
-
 def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int:
     """Rank over F_p of the Jacobian of all k-minors of the stacked matrix M,
     k = d-s+1, evaluated at sample_member(s, d, n, seed).  Equals the
@@ -416,16 +414,16 @@ def _row_weights(d: int, n: int, rows: np.ndarray, cols: np.ndarray, monos: np.n
     """Torus weights of evaluation rows, one weight vector in Z^n per row.
 
     Row i is the minor of the stack on rows[i] x cols[i] times the monomial
-    in the variables monos[i]: index a n + b is x_ab = phi[a, b], index n^2
-    the constant 1.  t = diag(t_1, ..., t_n) acts by phi -> t phi t^-1,
-    which preserves L, and a row f satisfies f(t phi t^-1) = t^w f(phi):
-    x_ab has weight e_a - e_b, so entry (a, b) of gamma alpha^j, a sum of
-    x_{d+a,c_1} x_{c_1,c_2} ... x_{c_j,b}, has weight e_{d+a} - e_b.  Stack
-    row r is row r mod (n-d) of its block, and a product's weight is the
-    sum of its factors' weights."""
+    in the variables monos[i] of A_0: index a d + b is x_ab = phi[a, b]
+    (b < d), index n d the constant 1.  t = diag(t_1, ..., t_n) acts by
+    phi -> t phi t^-1, which preserves L, and a row f satisfies f(t phi t^-1)
+    = t^w f(phi): x_ab has weight e_a - e_b, so entry (a, b) of gamma
+    alpha^j, a sum of x_{d+a,c_1} x_{c_1,c_2} ... x_{c_j,b}, has weight
+    e_{d+a} - e_b.  Stack row r is row r mod (n-d) of its block, and a
+    product's weight is the sum of its factors' weights."""
     import numpy as np
     eye = np.eye(n, dtype=np.int64)
-    var = np.vstack([(eye[:, None] - eye[None, :]).reshape(n * n, n), np.zeros((1, n), dtype=np.int64)])
+    var = np.vstack([(eye[:, None] - eye[None, :d]).reshape(n * d, n), np.zeros((1, n), dtype=np.int64)])
     return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2) + var[monos].sum(-2)
 
 
@@ -444,32 +442,35 @@ def numeric_hilbert_function(
     budget: int = 100_000,
 ):
     """Hilbert function of A / (minor ideal) in degrees 0..k_max, estimated
-    by evaluation: the rows of degree k are (minor x complementary
-    monomial), dim I_k is the dimension of their span and
-    HF_k = C(n^2+k-1, k) - dim I_k.
+    by evaluation.  The minors lie in A_0 = k[alpha, gamma], so the ideal is
+    I' A with I' in A_0, and A is free over A_0 in the m = n^2 - n d other
+    variables: HF_A(k) = sum_{j <= k} HF_{A_0/I'}(j) C(m + k - j - 1, k - j).
+    dim I'_j = C(n d + j - 1, j) - HF_{A_0/I'}(j) is the dimension of the
+    span of the rows (minor x complementary monomial in A_0) of degree j.
 
     Every row is a weight vector of the diagonal torus (_row_weights), and
-    vectors of distinct weights are linearly independent, so dim I_k is the
+    vectors of distinct weights are linearly independent, so dim I'_j is the
     sum over weights of the rank of the rows of that weight.  The Levi keeps
-    I_k (module docstring), so only the dominant blocks, whose weights weakly
+    I' (module docstring), so only the dominant blocks, whose weights weakly
     decrease on [0, d) and on [d, n), are ranked, each rank counted once per
-    weight of its S_d x S_{n-d} orbit.  One point set of min(largest block,
-    C(n^2+k-1, k)) + HF_MARGIN points is drawn per degree and repeat (the
-    Weyl group keeps block sizes, so the largest block is dominant); a block
-    of r rows is evaluated at its first min(r, C(n^2+k-1, k)) + HF_MARGIN
-    points, and the largest rank over HF_REPEATS point sets is kept.
+    weight of its S_d x S_{n-d} orbit.  With D = C(n d + j - 1, j), each
+    degree and repeat draws min(largest block, D) + HF_MARGIN points (the
+    Weyl group keeps block sizes, so the largest block is dominant), a block
+    of r rows is evaluated at the first min(r, D) + HF_MARGIN of them, and
+    the largest rank over HF_REPEATS point sets is kept.
 
     Error: if a block's rows span a space of dimension rho <= r, its rank at
     the points is rho unless a nonzero rho x rho determinant, a polynomial of
-    degree k rho in the points' coordinates, vanishes at them; by
-    Schwartz-Zippel that has probability at most k r / p.  By the union bound
-    over ranked blocks and degrees, every dim I_k is exact with probability
-    at least 1 - sum_k k R'_k / p, R'_k the number of dominant rows of degree
-    k.  A failure only lowers a rank, which then counts low for its whole
-    orbit, so dim I_k can only be underestimated and HF_k only
-    overestimated.  That one-sidedness needs the grading to be right: rows
-    put in different blocks by a wrong weight would have a common span
-    counted twice.  Refuses degrees whose monomial count exceeds `budget`.
+    degree j rho in the points' coordinates, vanishes at them; by
+    Schwartz-Zippel that has probability at most j r / p.  By the union bound
+    over ranked blocks and degrees, every dim I'_j is exact with probability
+    at least 1 - sum_j j R'_j / p, R'_j the number of dominant rows of degree
+    j in A_0.  A failure only lowers a rank, which then counts low for its
+    whole orbit, so HF_{A_0/I'} can only be overestimated, and so can HF_A,
+    a combination of its values with positive coefficients.  That
+    one-sidedness needs the grading to be right: rows put in different
+    blocks by a wrong weight would have a common span counted twice.
+    Refuses degrees whose monomial count in A exceeds `budget`.
     """
     import numpy as np
     _check_modulus(p)
@@ -477,29 +478,26 @@ def numeric_hilbert_function(
         raise ValueError("need 1 <= s <= d < n")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    nn = n * n
-    dims = []
     for k in range(k_max + 1):
-        count = comb(nn + k - 1, k)
+        count = comb(n * n + k - 1, k)
         if count > budget:
             raise BudgetExceededError(n, k, count, budget)
-        dims.append(count)
 
-    minors = _minor_indices(s, d, n)
-    minor_rows = np.array([rows for rows, _, _ in minors])
-    minor_cols = np.array([cols for _, cols, _ in minors])
+    nd = n * d
+    minor_rows, minor_cols, _ = _minor_table(d * (n - d), d, d - s + 1)[-1]
+    degrees = (minor_rows // (n - d) + 1).sum(1).tolist()
     rng = SplitMix64(seed)
-    hf = []
+    hf0 = []  # HF_{A_0/I'}
     prev_dim = 0
     for k in range(k_max + 1):
-        # row = (minor idx[i]) x (monomial monos[i]), padded to length k by
-        # the constant 1 (variable nn)
+        dim = comb(nd + k - 1, k)
+        # row i = minor idx[i] x monomial monos[i] in A_0, padded by the constant 1 (variable nd)
         idx, monos = [], []
-        for i, (_, _, deg) in enumerate(minors):
+        for i, deg in enumerate(degrees):
             if deg <= k:
-                for mono in combinations_with_replacement(range(nn), k - deg):
+                for mono in combinations_with_replacement(range(nd), k - deg):
                     idx.append(i)
-                    monos.append(mono + (nn,) * deg)
+                    monos.append(mono + (nd,) * deg)
         dim_k = 0
         if idx:
             idx, monos = np.array(idx), np.array(monos)
@@ -512,22 +510,23 @@ def numeric_hilbert_function(
             # blocks[b]: the rows whose weight is the b-th distinct one
             blocks = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
             ranks = np.zeros(len(blocks), dtype=np.int64)
-            npts = min(int(counts.max()), dims[k]) + HF_MARGIN
+            npts = min(int(counts.max()), dim) + HF_MARGIN
             for _ in range(HF_REPEATS):
                 phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
-                flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
+                flats = np.hstack([phis[:, :, :d].reshape(npts, nd), np.ones((npts, 1), dtype=np.int64)])
                 stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
-                minor_vals = _det_mod(stacks[:, minor_rows[:, :, None], minor_cols[:, None, :]], p)
+                minor_vals = _minor_values(stacks, d - s + 1, p)
                 for b, block in enumerate(blocks):
-                    m = min(len(block), dims[k]) + HF_MARGIN
+                    m = min(len(block), dim) + HF_MARGIN
                     vals = minor_vals[:m, idx[block]]
                     for j in range(k):
                         vals = vals * flats[:m, monos[block, j]] % p
                     # points x rows: its rank is the rank of the block's rows
                     ranks[b] = max(ranks[b], len(_echelon(vals, p)[1]))
             dim_k = sum(int(r) * orbit for r, orbit in zip(ranks, orbits))
+        # multiplying by a variable is injective on A_0, so dim I'_k cannot fall
         if dim_k < prev_dim:
             raise RuntimeError(f"dim I_{k} = {dim_k} is below dim I_{k - 1} = {prev_dim}")
         prev_dim = dim_k
-        hf.append(dims[k] - dim_k)
-    return hf
+        hf0.append(dim - dim_k)
+    return [sum(hf0[j] * comb(n * n - nd + k - j - 1, k - j) for j in range(k + 1)) for k in range(k_max + 1)]

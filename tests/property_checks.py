@@ -666,10 +666,13 @@ def kalman_stack_rank(phi, d, p):
 
 # -- Hilbert function by evaluation -------------------------------------------
 #
-# The two oracles below draw their points with the library's SplitMix64
-# (checked on its own against splitmix64_stream), so their outputs match bit
-# for bit.  Everything after that is their own: the stacks come from
-# kalman_stack, the minors from permutation_det, the ranks from
+# The two oracles below compute the Hilbert function over all n^2 variables
+# of A, where the library ranks rows over the n d variables of A_0 =
+# k[alpha, gamma] and convolves; they draw other points, so they agree with it
+# by value, not point for point, which checks the reduction to A_0 and the
+# convolution.  They draw with the library's SplitMix64 (checked on its own
+# against splitmix64_stream); everything after that is their own: the stacks
+# come from kalman_stack, the minors from permutation_det, the ranks from
 # echelon_unblocked, the minor index sets from stack_minors and the torus
 # weights from torus_weight.
 
@@ -726,12 +729,12 @@ def torus_weight(d, n, rows, cols, mono):
 
 
 def hilbert_function_dense(s, d, n, k_max, seed, p):
-    """kalman.numeric_hilbert_function without the torus grading: in each
-    degree k, one evaluation matrix holds every (minor x monomial) row at
-    min(rows, C(n^2+k-1, k)) + HF_MARGIN points, and dim I_k is its largest
-    rank over HF_REPEATS point sets.  Points are drawn as the library draws
-    them, so at a given seed this is the function's output before it was
-    graded."""
+    """The Hilbert function of A / (minor ideal) by evaluation in all n^2
+    variables, without the torus grading: in each degree k, one evaluation
+    matrix holds every (minor x monomial) row at min(rows, C(n^2+k-1, k)) +
+    HF_MARGIN points, and dim I_k is its largest rank over HF_REPEATS point
+    sets.  kalman.numeric_hilbert_function must return the same values; it
+    ranks rows in A_0 at other points, so they match by value."""
     from itertools import combinations_with_replacement
     from math import comb
 
@@ -774,11 +777,12 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
 
 
 def hilbert_function_all_weights(s, d, n, k_max, seed, p):
-    """kalman.numeric_hilbert_function before it used the Levi's Weyl group:
-    the same torus grading, point draws and per-block point counts, but every
-    weight block is evaluated and eliminated, and dim I_k is the sum of all
-    their ranks.  At a given seed this is the function's output before it
-    ranked one block per Weyl orbit."""
+    """The Hilbert function of A / (minor ideal) by evaluation in all n^2
+    variables, graded by the torus but without the Levi's Weyl group: every
+    weight block of the (minor x monomial) rows in A is evaluated and
+    eliminated, and dim I_k is the sum of all their ranks.
+    kalman.numeric_hilbert_function, which ranks one block per Weyl orbit of
+    the rows in A_0 and convolves, must return the same values."""
     from itertools import combinations_with_replacement
     from math import comb
 

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from pathlib import Path
 
@@ -13,12 +13,12 @@ from kalmanres.kalman import (
     FpMatrix,
     KalmanPoint,
     SplitMix64,
-    _det_mod,
     _echelon,
     _gauss_jordan,
     _left_kernel,
     _matmul_mod,
-    _minor_indices,
+    _minor_table,
+    _minor_values,
     _row_weights,
     jacobian_codim,
     minors_vanish,
@@ -35,10 +35,12 @@ from property_checks import (
     laplace_adjugate,
     laplace_det,
     minors_jacobian_rank,
+    permutation_det,
     reduced_echelon,
     sample_generic_oracle,
     sample_member_oracle,
     splitmix64_draws,
+    stack_minors,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
@@ -146,16 +148,23 @@ class TestModularLinearAlgebra:
             got = _matmul_mod(a, b, p)
             assert got.dtype == np.int64 and got.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("p", [3, P_DEFAULT])
-    def test_det_mod_over_a_batch(self, p):
+    @pytest.mark.parametrize("p", [2, 3, P_DEFAULT])
+    def test_minor_table_matches_leibniz(self, p):
+        # every k-minor on every row and column k-subset (so also the column
+        # subsets of a stack with s > 1), keyed in the order of
+        # stack_minors, at a batch of matrices, one with every entry p - 1
         rng = np.random.default_rng(p)
-        for size in range(1, 5):
-            batch = rng.integers(0, p, (4, 3, size, size))
-            batch[0, 0] = p - 1
-            got = _det_mod(batch, p)
-            assert got.shape == (4, 3)
-            for idx in np.ndindex(4, 3):
-                assert got[idx] == laplace_det(batch[idx].tolist(), p), (size, idx)
+        for k in range(1, 6):
+            for rows, cols in [(k, k), (k + 2, k), (k + 1, k + 2)]:
+                batch = rng.integers(0, p, (4, 3, rows, cols))
+                batch[0, 0] = p - 1
+                at, on, _ = _minor_table(rows, cols, k)[-1]
+                keys = [(r, c) for r in combinations(range(rows), k) for c in combinations(range(cols), k)]
+                assert list(zip(map(tuple, at.tolist()), map(tuple, on.tolist()))) == keys
+                got = _minor_values(batch, k, p)
+                assert got.shape == (4, 3, len(keys))
+                expected = permutation_det(batch[..., at[:, :, None], on[:, None, :]], p)
+                assert got.tolist() == expected.tolist(), (k, rows, cols)
 
     def test_left_kernel(self):
         p = P_DEFAULT
@@ -171,7 +180,7 @@ class TestModularLinearAlgebra:
     def test_det_and_adjugate(self):
         p = P_DEFAULT
         a = SplitMix64(11).matrix(4, 4, p)
-        det = _det_mod(a, p)
+        (det,) = _minor_values(a, 4, p)
         adj = np.array(laplace_adjugate(a.tolist(), p), dtype=np.int64)
         prod = _matmul_mod(a, adj, p)
         assert prod.tolist() == (det * np.eye(4, dtype=object) % p).tolist()
@@ -430,21 +439,21 @@ class TestNumericHilbertFunction:
 
     @pytest.mark.parametrize("s,d,n,k_max", [(s, d, n, 4) for s, d, n in cases(4)] + [(1, 3, 5, 6)])
     def test_matches_all_weights_oracle(self, s, d, n, k_max):
-        # ranking one block per Weyl orbit draws the same points and
-        # eliminates each dominant block at them, so the output is bit for
-        # bit that of ranking every block
+        # the oracle ranks every weight block of the rows over all n^2
+        # variables, with its own points, minors and elimination, so equal
+        # values also check the reduction to A_0 and the convolution
         for seed in range(3):
             expected = hilbert_function_all_weights(s, d, n, k_max, seed, P_DEFAULT)
             assert numeric_hilbert_function(s, d, n, k_max, seed, budget=10**7) == expected, seed
 
     @pytest.mark.parametrize("s,d,n,k_max", [(1, 2, 4, 5), (1, 3, 5, 6), (2, 3, 5, 5)])
     def test_weyl_orbits_share_sizes_and_ranks(self, s, d, n, k_max):
-        # S_d x S_{n-d} permutes the weight blocks: every block has the size
-        # and, at one shared point set, the rank of the block of its sorted
-        # weight, so the dominant blocks times their orbit sizes hold every
-        # row and the largest block is dominant
-        p, nn = P_DEFAULT, n * n
-        minors = _minor_indices(s, d, n)
+        # S_d x S_{n-d} permutes the weight blocks of the rows in A_0: every
+        # block has the size and, at one shared point set, the rank of the
+        # block of its sorted weight, so the dominant blocks times their orbit
+        # sizes hold every row and the largest block is dominant
+        p, nd = P_DEFAULT, n * d
+        minors = stack_minors(s, d, n)
         rows = np.array([r for r, _, _ in minors])
         cols = np.array([c for _, c, _ in minors])
         rng = SplitMix64(1000 + 100 * n + 10 * d + s)
@@ -457,10 +466,10 @@ class TestNumericHilbertFunction:
 
         for k in range(k_max + 1):
             specs = [
-                (i, mono + (nn,) * deg)
+                (i, mono + (nd,) * deg)
                 for i, (_, _, deg) in enumerate(minors)
                 if deg <= k
-                for mono in combinations_with_replacement(range(nn), k - deg)
+                for mono in combinations_with_replacement(range(nd), k - deg)
             ]
             if not specs:
                 continue
@@ -476,11 +485,11 @@ class TestNumericHilbertFunction:
             assert sum(orbit_size(w) * sizes[w] for w in tops) == len(specs)
             assert max(sizes[w] for w in tops) == max(sizes.values())
 
-            npts = min(max(sizes.values()), comb(nn + k - 1, k)) + HF_MARGIN
+            npts = min(max(sizes.values()), comb(nd + k - 1, k)) + HF_MARGIN
             phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)
-            flats = np.hstack([phis.reshape(npts, nn), np.ones((npts, 1), dtype=np.int64)])
+            flats = np.hstack([phis[:, :, :d].reshape(npts, nd), np.ones((npts, 1), dtype=np.int64)])
             stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
-            vals = _det_mod(stacks[:, rows[:, :, None], cols[:, None, :]], p)[:, idx]
+            vals = permutation_det(stacks[:, rows[:, :, None], cols[:, None, :]], p)[:, idx]
             for j in range(k):
                 vals = vals * flats[:, monos[:, j]] % p
             ranks = {w: rank(vals[:, block], p) for w, block in blocks.items()}
@@ -497,6 +506,26 @@ class TestNumericHilbertFunction:
         hf = numeric_hilbert_function(1, 3, 5, 7, seed, budget=10**7)
         assert hf == [hilbert_series(kalman_cone_d3(5)).coefficient(k) for k in range(8)]
         assert hf == [predicted_hilbert_series(3, 5).coefficient(k) for k in range(8)]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_d4_matches_the_prediction(self, seed):
+        # (1, 4, 6) through degree 8, the ideal's degrees 6, 7 and 8.  No cone
+        # or theorem gives the series at d >= 4: predicted_hilbert_series is
+        # the conjecture's prediction there, so a match is evidence for it
+        from kalmanres.resolutions import predicted_hilbert_series
+
+        hf = numeric_hilbert_function(1, 4, 6, 8, seed, budget=10**9)
+        assert hf == [predicted_hilbert_series(4, 6).coefficient(k) for k in range(9)]
+
+    def test_convolution_to_degree_11(self):
+        # (1, 2, 3) within the default budget: A_0 has 6 of A's 9 variables,
+        # and HF_A(11) sums twelve values HF_{A_0/I'}(j) times C(m + 10 - j,
+        # 11 - j), m = 3, the longest convolution in these tests
+        from kalmanres.geometric import hilbert_series
+        from kalmanres.resolutions import kalman_table_d2
+
+        hf = numeric_hilbert_function(1, 2, 3, 11, seed=0)
+        assert hf == [hilbert_series(kalman_table_d2(3)).coefficient(k) for k in range(12)]
 
     @pytest.mark.parametrize("d,n", [(d, n) for n in range(2, 5) for d in range(1, n)])
     def test_linear_ideal(self, d, n):
@@ -517,22 +546,23 @@ class TestNumericHilbertFunction:
 
     @pytest.mark.parametrize("s,d,n", cases(5))
     def test_rows_are_weight_vectors(self, s, d, n):
-        # every (minor x monomial) row f, monomials of degree <= 1, satisfies
-        # f(t phi t^-1) = t^w f(phi) at a random phi and diagonal t over F_p
+        # every (minor x monomial) row f, monomials in A_0 of degree <= 1,
+        # satisfies f(t phi t^-1) = t^w f(phi) at a random phi and diagonal t
+        # over F_p
         p = P_DEFAULT
         rng = SplitMix64(100 * n + 10 * d + s)
-        minors = _minor_indices(s, d, n)
+        minors = stack_minors(s, d, n)
         rows = np.array([r for r, _, _ in minors])
         cols = np.array([c for _, c, _ in minors])
-        nn = n * n
-        idx = np.repeat(np.arange(len(minors)), nn + 1)
-        monos = np.tile(np.arange(nn + 1), len(minors))[:, None]
+        nd = n * d
+        idx = np.repeat(np.arange(len(minors)), nd + 1)
+        monos = np.tile(np.arange(nd + 1), len(minors))[:, None]
         weights = _row_weights(d, n, rows[idx], cols[idx], monos)
 
         def values(phi):
             stack = reduced_kalman_matrix(KalmanPoint(d, n, phi, p)).data
             dets = np.array([laplace_det(stack[np.ix_(r, c)].tolist(), p) for r, c in zip(rows, cols)])
-            flat = np.append(phi.reshape(-1), 1)
+            flat = np.append(phi[:, :d].reshape(-1), 1)
             return dets[idx] * flat[monos[:, 0]] % p
 
         phi = rng.matrix(n, n, p)
