@@ -396,35 +396,35 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
 
 
 class BudgetExceededError(Exception):
-    """Monomial space too large for the evaluation oracle."""
+    """numeric_hilbert_function would build `count` > `budget` entries, in `what`."""
 
-    def __init__(self, n: int, k: int, count: int, budget: int):
-        self.n, self.k, self.count, self.budget = n, k, count, budget
-        super().__init__(
-            f"degree-{k} monomial count C({n * n + k - 1}, {k}) = {count} "
-            f"exceeds budget {budget}"
-        )
+    def __init__(self, what: str, count: int, budget: int):
+        self.what, self.count, self.budget = what, count, budget
+        super().__init__(f"{what} = {count} exceeds budget {budget}")
 
 
 HF_MARGIN = 5  # evaluation points beyond the number of rows
 HF_REPEATS = 2  # independent point sets per degree; the max rank is kept
+HF_BUDGET = 1_000_000  # most minors in the table, and most row entries in one degree
 
 
 def _row_weights(d: int, n: int, rows: np.ndarray, cols: np.ndarray, monos: np.ndarray) -> np.ndarray:
     """Torus weights of evaluation rows, one weight vector in Z^n per row.
 
-    Row i is the minor of the stack on rows[i] x cols[i] times the monomial
-    in the variables monos[i] of A_0: index a d + b is x_ab = phi[a, b]
-    (b < d), index n d the constant 1.  t = diag(t_1, ..., t_n) acts by
-    phi -> t phi t^-1, which preserves L, and a row f satisfies f(t phi t^-1)
-    = t^w f(phi): x_ab has weight e_a - e_b, so entry (a, b) of gamma
-    alpha^j, a sum of x_{d+a,c_1} x_{c_1,c_2} ... x_{c_j,b}, has weight
-    e_{d+a} - e_b.  Stack row r is row r mod (n-d) of its block, and a
-    product's weight is the sum of its factors' weights."""
+    A row is the minor of the stack on rows x cols times the monomial in the
+    variables monos of A_0: index a d + b is x_ab = phi[a, b] (b < d), index
+    n d the constant 1.  Shapes broadcast: (M, 1, size) minors and (C, j)
+    monomials give the (M, C, n) weights of all M x C rows.
+    t = diag(t_1, ..., t_n) acts by phi -> t phi t^-1, which preserves L,
+    and a row f satisfies f(t phi t^-1) = t^w f(phi): x_ab has weight
+    e_a - e_b, so entry (a, b) of gamma alpha^j, a sum of x_{d+a,c_1}
+    x_{c_1,c_2} ... x_{c_j,b}, has weight e_{d+a} - e_b.  Stack row r is row
+    r mod (n-d) of its block, and a product's weight is the sum of its
+    factors' weights."""
     import numpy as np
-    eye = np.eye(n, dtype=np.int64)
-    var = np.vstack([(eye[:, None] - eye[None, :d]).reshape(n * d, n), np.zeros((1, n), dtype=np.int64)])
-    return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2) + var[monos].sum(-2)
+    eye = np.eye(n + 1, n, dtype=np.int64)  # row n is zero, the weight of the constant
+    a, b = np.divmod(monos, d)  # the constant n d gives a = n
+    return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2) + eye[a].sum(-2) - eye[np.where(a < n, b, n)].sum(-2)
 
 
 def _arrangements(w: list) -> int:
@@ -432,32 +432,25 @@ def _arrangements(w: list) -> int:
     return factorial(len(w)) // prod(factorial(w.count(v)) for v in set(w))
 
 
-def numeric_hilbert_function(
-    s: int,
-    d: int,
-    n: int,
-    k_max: int,
-    seed: int,
-    p: int = P_DEFAULT,
-    budget: int = 100_000,
-):
+def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: int = P_DEFAULT):
     """Hilbert function of A / (minor ideal) in degrees 0..k_max, estimated
     by evaluation.  The minors lie in A_0 = k[alpha, gamma], so the ideal is
     I' A with I' in A_0, and A is free over A_0 in the m = n^2 - n d other
     variables: HF_A(k) = sum_{j <= k} HF_{A_0/I'}(j) C(m + k - j - 1, k - j).
     dim I'_j = C(n d + j - 1, j) - HF_{A_0/I'}(j) is the dimension of the
-    span of the rows (minor x complementary monomial in A_0) of degree j.
+    span of the R_j = sum_e M_e C(n d + j - e - 1, j - e) rows (minor x
+    complementary monomial in A_0) of degree j, M_e the minors of degree e.
 
     Every row is a weight vector of the diagonal torus (_row_weights), and
     vectors of distinct weights are linearly independent, so dim I'_j is the
     sum over weights of the rank of the rows of that weight.  The Levi keeps
     I' (module docstring), so only the dominant blocks, whose weights weakly
-    decrease on [0, d) and on [d, n), are ranked, each rank counted once per
-    weight of its S_d x S_{n-d} orbit.  With D = C(n d + j - 1, j), each
-    degree and repeat draws min(largest block, D) + HF_MARGIN points (the
-    Weyl group keeps block sizes, so the largest block is dominant), a block
-    of r rows is evaluated at the first min(r, D) + HF_MARGIN of them, and
-    the largest rank over HF_REPEATS point sets is kept.
+    decrease on [0, d) and on [d, n), are kept and ranked, each rank counted
+    once per weight of its S_d x S_{n-d} orbit.  With D = C(n d + j - 1, j),
+    each degree and repeat draws min(largest block, D) + HF_MARGIN points
+    (the Weyl group keeps block sizes, so the largest block is dominant), a
+    block of r rows is evaluated at the first min(r, D) + HF_MARGIN of them,
+    and the largest rank over HF_REPEATS point sets is kept.
 
     Error: if a block's rows span a space of dimension rho <= r, its rank at
     the points is rho unless a nonzero rho x rho determinant, a polynomial of
@@ -470,7 +463,10 @@ def numeric_hilbert_function(
     a combination of its values with positive coefficients.  That
     one-sidedness needs the grading to be right: rows put in different
     blocks by a wrong weight would have a common span counted twice.
-    Refuses degrees whose monomial count in A exceeds `budget`.
+
+    Refuses (BudgetExceededError) before _minor_table if its table has over
+    HF_BUDGET minors, and before any row if a degree j <= k_max has over
+    HF_BUDGET row entries (n + j) R_j: a weight in Z^n and j variables each.
     """
     import numpy as np
     _check_modulus(p)
@@ -478,51 +474,54 @@ def numeric_hilbert_function(
         raise ValueError("need 1 <= s <= d < n")
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    nd, size, height = n * d, d - s + 1, d * (n - d)
+    # _minor_table's level j holds the j-minors on the first d - size + j columns
+    count = sum(comb(height, j) * comb(d - size + j, j) for j in range(1, size + 1))
+    if count > HF_BUDGET:
+        raise BudgetExceededError(f"minor count of the {size}-minor table of the {height} x {d} stack", count, HF_BUDGET)
+    minor_rows, minor_cols, _ = _minor_table(height, d, size)[-1]
+    degrees = (minor_rows // (n - d) + 1).sum(1)
+    by_degree = {e: np.flatnonzero(degrees == e) for e in sorted(set(degrees.tolist()))}
     for k in range(k_max + 1):
-        count = comb(n * n + k - 1, k)
-        if count > budget:
-            raise BudgetExceededError(n, k, count, budget)
-
-    nd = n * d
-    minor_rows, minor_cols, _ = _minor_table(d * (n - d), d, d - s + 1)[-1]
-    degrees = (minor_rows // (n - d) + 1).sum(1).tolist()
+        count = sum(len(g) * comb(nd + k - e - 1, k - e) for e, g in by_degree.items() if e <= k)
+        if (n + k) * count > HF_BUDGET:
+            raise BudgetExceededError(f"degree-{k} row entries {count} x ({n} + {k})", (n + k) * count, HF_BUDGET)
     rng = SplitMix64(seed)
-    hf0 = []  # HF_{A_0/I'}
-    prev_dim = 0
+    hf0, prev_dim = [], 0  # HF_{A_0/I'}, and dim I'_{k-1}
     for k in range(k_max + 1):
         dim = comb(nd + k - 1, k)
-        # row i = minor idx[i] x monomial monos[i] in A_0, padded by the constant 1 (variable nd)
-        idx, monos = [], []
-        for i, deg in enumerate(degrees):
-            if deg <= k:
-                for mono in combinations_with_replacement(range(nd), k - deg):
-                    idx.append(i)
-                    monos.append(mono + (nd,) * deg)
-        dim_k = 0
-        if idx:
-            idx, monos = np.array(idx), np.array(monos)
-            weights = _row_weights(d, n, minor_rows[idx], minor_cols[idx], monos)
+        # the dominant rows of degree k: minor idx[i] x monomial monos[i] in
+        # A_0, padded by the constant 1 (variable nd), of weight weights[i]
+        parts = []
+        for e, g in [(e, g) for e, g in by_degree.items() if e <= k]:
+            pad = np.array([m + (nd,) * e for m in combinations_with_replacement(range(nd), k - e)], dtype=np.int64)
+            weights = _row_weights(d, n, minor_rows[g, None], minor_cols[g, None], pad)
             # one block per S_d x S_{n-d} orbit: its weight weakly decreases on [0, d) and [d, n)
-            dominant = (np.diff(weights[:, :d]) <= 0).all(1) & (np.diff(weights[:, d:]) <= 0).all(1)
-            idx, monos, weights = idx[dominant], monos[dominant], weights[dominant]
+            dominant = (np.diff(weights[..., :d]) <= 0).all(-1) & (np.diff(weights[..., d:]) <= 0).all(-1)
+            at, mono = np.nonzero(dominant)
+            parts.append((g[at], pad[mono], weights[at, mono]))
+        dim_k = 0
+        if parts:
+            idx, monos, weights = (np.concatenate(part) for part in zip(*parts))
             keys, inverse, counts = np.unique(weights, axis=0, return_inverse=True, return_counts=True)
             orbits = [_arrangements(w[:d]) * _arrangements(w[d:]) for w in keys.tolist()]
-            # blocks[b]: the rows whose weight is the b-th distinct one
-            blocks = np.split(np.argsort(inverse.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
-            ranks = np.zeros(len(blocks), dtype=np.int64)
+            inverse = inverse.reshape(-1)
+            order = np.lexsort((inverse, counts[inverse]))  # the rows by block size, block by block
+            ranks = np.zeros(len(keys), dtype=np.int64)
             npts = min(int(counts.max()), dim) + HF_MARGIN
             for _ in range(HF_REPEATS):
                 phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
                 flats = np.hstack([phis[:, :, :d].reshape(npts, nd), np.ones((npts, 1), dtype=np.int64)])
                 stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
-                minor_vals = _minor_values(stacks, d - s + 1, p)
-                for b, block in enumerate(blocks):
-                    m = min(len(block), dim) + HF_MARGIN
-                    vals = minor_vals[:m, idx[block]]
+                minor_vals = _minor_values(stacks, size, p)
+                for r in sorted(set(counts.tolist())):
+                    # the blocks of r rows: one product per variable for all, then points x rows per block
+                    rows, m = order[counts[inverse[order]] == r], min(r, dim) + HF_MARGIN
+                    vals = minor_vals[:m, idx[rows]]
                     for j in range(k):
-                        vals = vals * flats[:m, monos[block, j]] % p
-                    # points x rows: its rank is the rank of the block's rows
-                    ranks[b] = max(ranks[b], len(_echelon(vals, p)[1]))
+                        vals = vals * flats[:m, monos[rows, j]] % p
+                    for b, block in zip(inverse[rows[::r]], np.split(vals, len(rows) // r, axis=1)):
+                        ranks[b] = max(ranks[b], len(_echelon(block, p)[1]))  # the rank of the block's rows
             dim_k = sum(int(r) * orbit for r, orbit in zip(ranks, orbits))
         # multiplying by a variable is injective on A_0, so dim I'_k cannot fall
         if dim_k < prev_dim:

@@ -76,10 +76,23 @@ class TestExitCodes:
         assert "error:" in captured.err and "OK" not in captured.out
 
     def test_budget_refusal(self, capsys):
-        code = main(["hf", "--s", "1", "--d", "3", "--n", "5", "--kmax", "5"])
+        # (2, 4, 7) has 305576 rows at degree 7, (7 + 7) entries each
+        code = main(["hf", "--s", "2", "--d", "4", "--n", "7", "--kmax", "8"])
         assert code == REFUSED
         err = capsys.readouterr().err
-        assert "refused:" in err and "118755" in err
+        assert "refused:" in err and "4278064" in err and "1000000" in err
+
+    def test_minor_table_refusal_builds_no_table(self, capsys, monkeypatch):
+        # (1, 3, 70) has C(201, 3) = 1333300 3-minors, and the table's smaller
+        # levels 20301 more: the gate refuses before _minor_table runs
+        def refuse(*args):
+            raise AssertionError("_minor_table called")
+
+        monkeypatch.setattr(kalman, "_minor_table", refuse)
+        code = main(["hf", "--s", "1", "--d", "3", "--n", "70", "--kmax", "1"])
+        assert code == REFUSED
+        err = capsys.readouterr().err
+        assert "refused:" in err and "1353601" in err and "1000000" in err
 
 
 class TestBetti:
@@ -247,6 +260,18 @@ class TestKalmanSampling:
         )
         assert code == OK
         assert payload["hilbert_function"] == [1, 16, 135]
+
+    @pytest.mark.parametrize("d,n", [(3, 5), (4, 6)])
+    def test_hf_below_the_first_equation_degree(self, capsys, d, n):
+        # hf 1 3 5 and hf 1 4 6 through degree 5: the series of the d = 3
+        # cone and the d = 4 prediction (the d = 4 ideal starts in degree 6)
+        from kalmanres.geometric import hilbert_series
+        from kalmanres.resolutions import kalman_cone_d3, predicted_hilbert_series
+
+        code, payload = run_json(capsys, ["hf", "--s", "1", "--d", str(d), "--n", str(n), "--kmax", "5"])
+        assert code == OK
+        series = hilbert_series(kalman_cone_d3(5)) if d == 3 else predicted_hilbert_series(4, 6)
+        assert payload["hilbert_function"] == [series.coefficient(k) for k in range(6)]
 
 
 class TestVerify:

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kalmanres import kalman
 from kalmanres.kalman import (
+    HF_BUDGET,
     HF_MARGIN,
     P_DEFAULT,
     BudgetExceededError,
@@ -444,7 +446,7 @@ class TestNumericHilbertFunction:
         # values also check the reduction to A_0 and the convolution
         for seed in range(3):
             expected = hilbert_function_all_weights(s, d, n, k_max, seed, P_DEFAULT)
-            assert numeric_hilbert_function(s, d, n, k_max, seed, budget=10**7) == expected, seed
+            assert numeric_hilbert_function(s, d, n, k_max, seed) == expected, seed
 
     @pytest.mark.parametrize("s,d,n,k_max", [(1, 2, 4, 5), (1, 3, 5, 6), (2, 3, 5, 5)])
     def test_weyl_orbits_share_sizes_and_ranks(self, s, d, n, k_max):
@@ -503,7 +505,7 @@ class TestNumericHilbertFunction:
         from kalmanres.geometric import hilbert_series
         from kalmanres.resolutions import kalman_cone_d3, predicted_hilbert_series
 
-        hf = numeric_hilbert_function(1, 3, 5, 7, seed, budget=10**7)
+        hf = numeric_hilbert_function(1, 3, 5, 7, seed)
         assert hf == [hilbert_series(kalman_cone_d3(5)).coefficient(k) for k in range(8)]
         assert hf == [predicted_hilbert_series(3, 5).coefficient(k) for k in range(8)]
 
@@ -514,7 +516,7 @@ class TestNumericHilbertFunction:
         # the conjecture's prediction there, so a match is evidence for it
         from kalmanres.resolutions import predicted_hilbert_series
 
-        hf = numeric_hilbert_function(1, 4, 6, 8, seed, budget=10**9)
+        hf = numeric_hilbert_function(1, 4, 6, 8, seed)
         assert hf == [predicted_hilbert_series(4, 6).coefficient(k) for k in range(9)]
 
     def test_convolution_to_degree_11(self):
@@ -579,10 +581,34 @@ class TestNumericHilbertFunction:
         assert (values(phi) * scale % p == values(conj)).all()
 
     def test_budget_refusal(self):
+        # (2, 4, 7) has 305576 rows at degree 7: a weight in Z^7 and a
+        # monomial of 7 variables each
         with pytest.raises(BudgetExceededError) as exc:
-            numeric_hilbert_function(1, 3, 5, k_max=5, seed=0, budget=100_000)
+            numeric_hilbert_function(2, 4, 7, k_max=8, seed=0)
+        assert (exc.value.count, exc.value.budget) == (14 * 305576, HF_BUDGET) == (4278064, 1_000_000)
         msg = str(exc.value)
-        assert "C(29, 5)" in msg and "118755" in msg and "100000" in msg
+        assert "degree-7" in msg and "305576" in msg and "4278064" in msg and "1000000" in msg
+
+    def test_budget_boundary(self, monkeypatch):
+        from kalmanres.geometric import hilbert_series
+        from kalmanres.resolutions import kalman_cone_d3
+
+        # the budget is the most row entries of one degree, (n + j) R_j,
+        # counted here from the oracle's minors: (1, 3, 5) runs through
+        # degree 6 at N, its degree-6 count, and refuses at N - 1
+        s, d, n, k_max = 1, 3, 5, 6
+        minors = stack_minors(s, d, n)
+        rows = [sum(comb(n * d + j - e - 1, j - e) for _, _, e in minors if e <= j) for j in range(k_max + 1)]
+        entries = [(n + j) * r for j, r in enumerate(rows)]
+        N = entries[-1]
+        assert N == max(entries) > len(minors)
+        monkeypatch.setattr(kalman, "HF_BUDGET", N)
+        hf = numeric_hilbert_function(s, d, n, k_max, seed=0)
+        assert hf == [hilbert_series(kalman_cone_d3(5)).coefficient(k) for k in range(k_max + 1)]
+        monkeypatch.setattr(kalman, "HF_BUDGET", N - 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            numeric_hilbert_function(s, d, n, k_max, seed=0)
+        assert (exc.value.count, exc.value.budget) == (N, N - 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
