@@ -219,7 +219,6 @@ def _gauss_jordan(a: np.ndarray, p: int):
     return e.reshape(a.shape), rank.reshape(a.shape[:-2])
 
 
-@lru_cache(maxsize=None)
 def _minor_table(rows: int, cols: int, k: int):
     """The k-minors of a rows x cols matrix on every row and column k-subset,
     as a memoised Laplace expansion: one level (at, on, sub) per size j =
@@ -237,13 +236,13 @@ def _minor_table(rows: int, cols: int, k: int):
     return levels
 
 
-def _minor_values(stacks: np.ndarray, k: int, p: int) -> np.ndarray:
+def _minor_values(stacks: np.ndarray, table: list, p: int) -> np.ndarray:
     """The k-minors over F_p of each matrix of a stack (..., rows, cols), in
-    the order of _minor_table's last level: shape (..., minors)."""
+    the order of the last level of table = _minor_table(rows, cols, k): shape (..., minors)."""
     import numpy as np
     stacks = np.asarray(stacks, dtype=np.int64) % p
     vals = np.ones(stacks.shape[:-2] + (1,), dtype=np.int64)
-    for j, (at, on, sub) in enumerate(_minor_table(*stacks.shape[-2:], k), 1):
+    for j, (at, on, sub) in enumerate(table, 1):
         terms = (stacks[..., at[:, t], on[:, -1]] * vals[..., sub[:, t]] % p for t in range(j))
         vals = sum((-1) ** (t + j - 1) * term for t, term in enumerate(terms)) % p
     return vals
@@ -346,8 +345,6 @@ def sample_member(s: int, d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoi
 def sample_generic(d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
     """Uniform random endomorphism (no invariance constraint), one per seed."""
     _check_modulus(p)
-    if not 1 <= d < n:
-        raise ValueError("need 1 <= d < n")
     rng = SplitMix64(seed)
     return KalmanPoint(d, n, rng.matrix(n, n, p), p)
 
@@ -367,10 +364,9 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
     rank M < k-1, every cofactor of a k x k submatrix is a vanishing
     (k-1)-minor and the rank is 0."""
     import numpy as np
-    _check_modulus(p)
     if not 1 <= s < d < n:
         raise ValueError("need 1 <= s < d < n")
-    pt = sample_member(s, d, n, seed, p)
+    pt = sample_member(s, d, n, seed, p)  # checks the modulus
     stack = reduced_kalman_matrix(pt).data
     k = d - s + 1
     left, rank = _left_kernel(stack, p)
@@ -467,6 +463,8 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     Refuses (BudgetExceededError) before _minor_table if its table has over
     HF_BUDGET minors, and before any row if a degree j <= k_max has over
     HF_BUDGET row entries (n + j) R_j: a weight in Z^n and j variables each.
+    Below the least minor degree there is no row and no table is built; else
+    one table serves every degree and point set (_minor_values).
     """
     import numpy as np
     _check_modulus(p)
@@ -479,7 +477,11 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     count = sum(comb(height, j) * comb(d - size + j, j) for j in range(1, size + 1))
     if count > HF_BUDGET:
         raise BudgetExceededError(f"minor count of the {size}-minor table of the {height} x {d} stack", count, HF_BUDGET)
-    minor_rows, minor_cols, _ = _minor_table(height, d, size)[-1]
+    # a minor on stack rows r has degree sum (r // (n - d) + 1), least on rows 0..size-1
+    if k_max < sum(r // (n - d) + 1 for r in range(size)):
+        return [comb(n * n + k - 1, k) for k in range(k_max + 1)]  # no minor, no row: all of A
+    table = _minor_table(height, d, size)
+    minor_rows, minor_cols, _ = table[-1]
     degrees = (minor_rows // (n - d) + 1).sum(1)
     by_degree = {e: np.flatnonzero(degrees == e) for e in sorted(set(degrees.tolist()))}
     for k in range(k_max + 1):
@@ -513,7 +515,7 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
                 phis = rng.matrix(npts * n, n, p).reshape(npts, n, n)  # as npts matrix(n, n, p)
                 flats = np.hstack([phis[:, :, :d].reshape(npts, nd), np.ones((npts, 1), dtype=np.int64)])
                 stacks = reduced_kalman_matrix(KalmanPoint(d, n, phis, p)).data
-                minor_vals = _minor_values(stacks, size, p)
+                minor_vals = _minor_values(stacks, table, p)
                 for r in sorted(set(counts.tolist())):
                     # the blocks of r rows: one product per variable for all, then points x rows per block
                     rows, m = order[counts[inverse[order]] == r], min(r, dim) + HF_MARGIN

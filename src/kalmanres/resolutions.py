@@ -1,16 +1,13 @@
-"""Closed-form Betti tables, Koszul tables, and mapping-cone arithmetic for
-the invariant-subspace varieties themselves (not just their normalizations).
+"""Closed-form Betti tables, Koszul tables, and mapping cones for the
+invariant-subspace varieties themselves (not just their normalizations).
 
-The coordinate ring of the variety sits inside the normalization module; the
-quotient is a twisted module of the same family with smaller subspace
-dimension.  Resolving the quotient and cancelling the isomorphic comparison
-summands via a mapping cone yields the variety's resolution.  A cancellation
-spec is a BettiTable of the matched summands, over the same ring as the two
-tables, and the cone is (ambient - spec) plus (quotient - spec) moved one
-homological index down.  Each cone here derives its spec from the two
-tables it joins: their multiset intersection, cut at a homological index
-for the two d = 3 stages.  That every matched summand's comparison
-component is an isomorphism is assumed, not inferred.
+The conjectured exact sequence 0 -> C_s -> N_s -> C_{s+1}(-s) -> 0, with N_s
+the normalization for subspace dimension s, C_{d+1} = 0 and C_d = N_d the
+Koszul complex on L (x) W, resolves C_1, the variety's coordinate ring, one
+stage (_stage) at a time.  A stage is a mapping cone whose cancellation spec,
+a BettiTable of matched summands, is the multiset intersection of the two
+tables it joins, cut at a homological index for the two d = 3 stages; the
+cone is (ambient - spec) plus (quotient - spec) moved one index down.
 """
 
 from __future__ import annotations
@@ -34,26 +31,21 @@ class CancellationError(Exception):
     """A prescribed cancellation pair is absent from one of the tables."""
 
 
-def koszul_table(
-    generators: Sequence[tuple], ctx: GrassmannianContext
-) -> BettiTable:
+def koszul_table(generators: Sequence[tuple], ctx: GrassmannianContext) -> BettiTable:
     """Koszul complex on the d(n-d) linear forms spanning L (x) W, tensored
-    with one free summand S_lam L (x) S_mu W (-c) per generator (lam, mu, c).
-
-    Term i of a single twist-c strand is wedge^i(L (x) W) (x) A(-i-c),
-    expanded by Cauchy into (nu, nu') pairs and multiplied onto the
-    generator's labels by Littlewood-Richardson.
+    with one free summand S_lam L (x) S_mu W (-c) per generator (lam, mu, c):
+    each entry of the untwisted strand, the normalization table at s = d
+    (Gr(d, L) is a point; term i is wedge^i(L (x) W) (x) A(-i)), multiplied
+    onto the generator's labels by Littlewood-Richardson and twisted by c.
     """
     d, w = ctx.d, ctx.dim_w
     table = BettiTable(ctx)
-    gens = [(Partition(lam), Partition(mu), int(c)) for (lam, mu, c) in generators]
-    for i in range(d * w + 1):
-        for nu in partitions_in_box(i, d, w):
-            nu_conj = nu.conjugate()
-            for lam, mu, c in gens:
-                for left, cl in lr_product(lam, nu, d).items():
-                    for right, cr in lr_product(mu, nu_conj, w).items():
-                        table.add(i, i + c, left, right, cl * cr)
+    strand = list(resolution_terms(GrassmannianContext(d, d, ctx.n)).entries())
+    for lam, mu, c in generators:
+        for i, e, nu, nu_w, mult in strand:
+            for left, cl in lr_product(lam, nu, d).items():
+                for right, cr in lr_product(mu, nu_w, w).items():
+                    table.add(i, e + int(c), left, right, mult * cl * cr)
     return table
 
 
@@ -181,21 +173,27 @@ def kalman_table_d2(n: int) -> BettiTable:
     return t
 
 
-def _cone(ambient: BettiTable, quotient: BettiTable, through: Optional[int] = None) -> BettiTable:
-    """mapping_cone that cancels every summand the two tables share, at
-    homological index <= through when it is given."""
-    matched = ambient & quotient
+def _stage(s: int, d: int, n: int, upper: BettiTable, through: Optional[int] = None) -> BettiTable:
+    """One stage 0 -> C_s -> N_s -> C_{s+1}(-s) -> 0 of the conjectured
+    sequence: C_s as the mapping cone of N_s, the (s, d, n) normalization
+    table, over upper = C_{s+1} twisted by s, cancelling every summand the
+    two tables share, at homological index <= through when it is given.
+
+    That each matched pair's comparison map is an isomorphism is proven for
+    d = 2 and assumed elsewhere.
+    """
+    ambient = resolution_terms(GrassmannianContext(s, d, n))
+    quotient = upper.twist(s)
+    shared = ambient & quotient
     if through is not None:
-        matched = matched.restrict_index(through)
-    return mapping_cone(ambient, quotient, matched)
+        shared = shared.restrict_index(through)
+    return mapping_cone(ambient, quotient, shared)
 
 
 def cone_table_d2(n: int) -> BettiTable:
-    """The d=2 variety resolution assembled by the mapping cone: normalization
-    table over the twist-1 Koszul strand, cancelling every shared summand."""
-    ambient = resolution_terms(GrassmannianContext(1, 2, n))
-    quotient = koszul_table([((), (), 1)], GrassmannianContext(2, 2, n))
-    return _cone(ambient, quotient)
+    """The d=2 variety resolution C_1 assembled by the mapping cone of N_1
+    over C_2(-1), the twist-1 Koszul strand, cancelling every shared summand."""
+    return _stage(1, 2, n, koszul_table([((), (), 0)], GrassmannianContext(2, 2, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +202,23 @@ def cone_table_d2(n: int) -> BettiTable:
 
 
 def intermediate_table_d3(n: int) -> BettiTable:
-    """Resolution of the degree-(0,1)-generated submodule of the (2,3,n)
-    normalization: cone of its resolution over the twist-2 Koszul strand,
+    """C_2 at d = 3, the degree-(0,1)-generated submodule of the (2,3,n)
+    normalization: the cone of N_2 over C_3(-2), the twist-2 Koszul strand,
     cancelling the shared summands at index <= 3."""
-    ambient = resolution_terms(GrassmannianContext(2, 3, n))
-    quotient = koszul_table([((), (), 2)], GrassmannianContext(3, 3, n))
-    return _cone(ambient, quotient, through=3)
+    return _stage(2, 3, n, koszul_table([((), (), 0)], GrassmannianContext(3, 3, n)), through=3)
 
 
 def kalman_cone_d3(n: int) -> BettiTable:
-    """Betti table of the d=3, s=1 variety's coordinate ring via the
-    two-stage cone: the s=1 normalization over the twisted intermediate
-    module, cancelling the shared summands at index <= 2.  Index 1 gives the
-    ideal's minimal generators.
+    """Betti table of the d=3, s=1 variety's coordinate ring C_1 via the
+    two-stage cone: N_1 over the twisted intermediate module C_2(-1),
+    cancelling the shared summands at index <= 2.  Index 1 gives the ideal's
+    minimal generators.
 
     The two stages cancel only through index 3 and index 2, and their tables
     share more summands above those indices.  So the table is a resolution,
     but from index 2 on it is not claimed to be minimal.
     """
-    ambient = resolution_terms(GrassmannianContext(1, 3, n))
-    quotient = intermediate_table_d3(n).twist(1)
-    return _cone(ambient, quotient, through=2)
+    return _stage(1, 3, n, intermediate_table_d3(n), through=2)
 
 
 def kalman_equations_d3(n: int) -> list:

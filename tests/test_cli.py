@@ -94,6 +94,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "refused:" in err and "1353601" in err and "1000000" in err
 
+    def test_below_the_least_minor_degree_builds_no_table(self, capsys, monkeypatch):
+        # (1, 3, 60) passes the gate with 833511 minors, but every 3-minor
+        # has degree >= 3: through degree 1 no row exists, so none is built
+        def refuse(*args):
+            raise AssertionError("_minor_table called")
+
+        monkeypatch.setattr(kalman, "_minor_table", refuse)
+        code = main(["hf", "--s", "1", "--d", "3", "--n", "60", "--kmax", "1"])
+        assert code == OK
+        assert capsys.readouterr().out.strip() == "HF(0..1) = [1, 3600]"
+
 
 class TestBetti:
     def test_json_round_trips(self, capsys):

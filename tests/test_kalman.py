@@ -160,10 +160,11 @@ class TestModularLinearAlgebra:
             for rows, cols in [(k, k), (k + 2, k), (k + 1, k + 2)]:
                 batch = rng.integers(0, p, (4, 3, rows, cols))
                 batch[0, 0] = p - 1
-                at, on, _ = _minor_table(rows, cols, k)[-1]
+                table = _minor_table(rows, cols, k)
+                at, on, _ = table[-1]
                 keys = [(r, c) for r in combinations(range(rows), k) for c in combinations(range(cols), k)]
                 assert list(zip(map(tuple, at.tolist()), map(tuple, on.tolist()))) == keys
-                got = _minor_values(batch, k, p)
+                got = _minor_values(batch, table, p)
                 assert got.shape == (4, 3, len(keys))
                 expected = permutation_det(batch[..., at[:, :, None], on[:, None, :]], p)
                 assert got.tolist() == expected.tolist(), (k, rows, cols)
@@ -182,7 +183,7 @@ class TestModularLinearAlgebra:
     def test_det_and_adjugate(self):
         p = P_DEFAULT
         a = SplitMix64(11).matrix(4, 4, p)
-        (det,) = _minor_values(a, 4, p)
+        (det,) = _minor_values(a, _minor_table(4, 4, 4), p)
         adj = np.array(laplace_adjugate(a.tolist(), p), dtype=np.int64)
         prod = _matmul_mod(a, adj, p)
         assert prod.tolist() == (det * np.eye(4, dtype=object) % p).tolist()
@@ -588,6 +589,20 @@ class TestNumericHilbertFunction:
         assert (exc.value.count, exc.value.budget) == (14 * 305576, HF_BUDGET) == (4278064, 1_000_000)
         msg = str(exc.value)
         assert "degree-7" in msg and "305576" in msg and "4278064" in msg and "1000000" in msg
+
+    def test_builds_the_minor_table_once(self, monkeypatch):
+        # every degree and both point sets evaluate the minors of one table
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _minor_table(*args)
+
+        monkeypatch.setattr(kalman, "_minor_table", counting)
+        for s, d, n, k_max in [(1, 2, 4, 5), (2, 3, 4, 5), (1, 3, 5, 4)]:
+            calls.clear()
+            numeric_hilbert_function(s, d, n, k_max, seed=0)
+            assert calls == [(d * (n - d), d, d - s + 1)], (s, d, n)
 
     def test_budget_boundary(self, monkeypatch):
         from kalmanres.geometric import hilbert_series
