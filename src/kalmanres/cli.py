@@ -1,8 +1,9 @@
 """Command-line surface: every computation as a batch subcommand.
 
-Exit codes: 0 success, 1 mismatch (a golden comparison or consistency check
-failed), 2 usage error, 3 refused (resource budget).  JSON goes to stdout
-with --json; diagnostics go to stderr.
+Every subcommand returns through _emit, which states its verdict: exit code
+0 with "status": "ok" when its checks hold, else 1 with "status": "mismatch".
+main() adds 2 for a usage error and 3 for a refusal (resource budget).  JSON
+goes to stdout with --json; diagnostics go to stderr.
 
 main() loads numpy with one OpenBLAS thread: unless numpy is already loaded,
 it sets OPENBLAS_NUM_THREADS=1 when that is unset or empty (set it to choose
@@ -51,14 +52,19 @@ OK, MISMATCH, USAGE, REFUSED = 0, 1, 2, 3
 TRIAL_CHUNK = 64  # trials kalman-test samples and tests at once; bounds its memory
 
 
-def _emit(payload: dict, as_json: bool, human_lines) -> None:
-    """Print the payload as JSON, or else the lines human_lines() returns:
-    the text is built only when it is printed."""
-    if as_json:
-        print(json.dumps(payload, indent=2))
+def _emit(args, ok: bool, payload, human_lines) -> int:
+    """The one exit path of a subcommand: the verdict `ok` becomes exit code
+    OK and "status": "ok", or else MISMATCH and "status": "mismatch".  Print
+    payload | {"status": ...} as JSON under --json, or else the lines
+    human_lines() returns.  A callable payload is called only under --json,
+    and the text is built only when it is printed."""
+    if args.json:
+        payload = payload() if callable(payload) else payload
+        print(json.dumps(payload | {"status": "ok" if ok else "mismatch"}, indent=2))
     else:
         for line in human_lines():
             print(line)
+    return OK if ok else MISMATCH
 
 
 def _ctx(args) -> GrassmannianContext:
@@ -75,19 +81,19 @@ def _group_rank(ctx: GrassmannianContext, lam, mu, mult: int) -> int:
 
 def _cmd_betti(args) -> int:
     table = resolution_terms(_ctx(args))
-    stats = {"proj_dim": table.proj_dim(), "regularity": table.regularity(), "status": "ok"}
-    if args.json:  # the payload, one entry_rank per entry, is built only when printed
-        print(json.dumps(table.to_json_obj() | stats, indent=2))
-    else:
-        print(table.render())
-        print(f"proj_dim = {stats['proj_dim']}  regularity = {stats['regularity']}")
-    return OK
+    pd, reg = table.proj_dim(), table.regularity()
+    return _emit(  # the payload, one entry_rank per entry, is built only under --json
+        args,
+        True,
+        lambda: table.to_json_obj() | {"proj_dim": pd, "regularity": reg},
+        lambda: [table.render(), f"proj_dim = {pd}  regularity = {reg}"],
+    )
 
 
 def _cmd_cohomology(args) -> int:
     ctx = _ctx(args)
     coh = cohomology_table(ctx, args.q)
-    payload = {"context": {"s": ctx.s, "d": ctx.d, "n": ctx.n}, "q": args.q, "groups": {}, "status": "ok"}
+    payload = {"context": {"s": ctx.s, "d": ctx.d, "n": ctx.n}, "q": args.q, "groups": {}}
     lines = []
     for j in sorted(coh):
         entries = []
@@ -106,8 +112,7 @@ def _cmd_cohomology(args) -> int:
         lines.append(f"H^{j} total rank = {total}")
     if not coh:
         lines.append("no cohomology")
-    _emit(payload, args.json, lambda: lines)
-    return OK
+    return _emit(args, True, payload, lambda: lines)
 
 
 def _cmd_hilbert(args) -> int:
@@ -120,10 +125,8 @@ def _cmd_hilbert(args) -> int:
         "numerator": list(direct.coeffs),
         "denominator_exponent": direct.denominator_exponent,
         "routes_agree": agree,
-        "status": "ok" if agree else "mismatch",
     }
-    _emit(payload, args.json, lambda: [str(direct), f"double-computation agreement: {agree}"])
-    return OK if agree else MISMATCH
+    return _emit(args, agree, payload, lambda: [str(direct), f"double-computation agreement: {agree}"])
 
 
 def _cmd_conjecture(args) -> int:
@@ -135,20 +138,17 @@ def _cmd_conjecture(args) -> int:
         "denominator_exponent": report.prediction.denominator_exponent,
     }
     lines = [f"predicted series: {report.prediction}"]
-    status = OK
     if report.residual is not None:
         payload["residual_numerator"] = list(report.residual.coeffs)
         lines.append(f"residual: {report.residual}")
-        status = OK if report.residual.is_zero else MISMATCH
     else:
         lines.append("no proven resolution route at this d; prediction only")
         if report.telescope_ok is not None:
             payload["telescope_ok"] = report.telescope_ok
             lines.append(f"telescoping cross-check: {report.telescope_ok}")
-            status = OK if report.telescope_ok else MISMATCH
-    payload["status"] = "ok" if status == OK else "mismatch"
-    _emit(payload, args.json, lambda: lines)
-    return status
+    # the residual decides where there is one, else the telescope where it runs
+    ok = report.residual.is_zero if report.residual is not None else report.telescope_ok is not False
+    return _emit(args, ok, payload, lambda: lines)
 
 
 def _cmd_kalman_test(args) -> int:
@@ -170,18 +170,17 @@ def _cmd_kalman_test(args) -> int:
         "trials": args.trials,
         "member_sound": sound,
         "generic_nonvanishing": generic_nonzero,
-        "status": "ok" if ok else "mismatch",
     }
-    _emit(
+    return _emit(
+        args,
+        ok,
         payload,
-        args.json,
         lambda: [
             f"membership soundness: {sound}/{args.trials}",
             f"generic points with a nonzero {k}x{k} minor: "
             f"{generic_nonzero}/{args.trials}",
         ],
     )
-    return OK if ok else MISMATCH
 
 
 def _cmd_codim(args) -> int:
@@ -194,10 +193,8 @@ def _cmd_codim(args) -> int:
         "seed": args.seed,
         "jacobian_rank": rank,
         "expected": expected,
-        "status": "ok" if rank == expected else "mismatch",
     }
-    _emit(payload, args.json, lambda: [f"jacobian rank {rank}, expected s(n-d) = {expected}"])
-    return OK if rank == expected else MISMATCH
+    return _emit(args, rank == expected, payload, lambda: [f"jacobian rank {rank}, expected s(n-d) = {expected}"])
 
 
 def _cmd_hf(args) -> int:
@@ -209,56 +206,59 @@ def _cmd_hf(args) -> int:
         "kmax": args.kmax,
         "seed": args.seed,
         "hilbert_function": hf,
-        "status": "ok",
     }
-    _emit(payload, args.json, lambda: [f"HF(0..{args.kmax}) = {hf}"])
-    return OK
+    return _emit(args, True, payload, lambda: [f"HF(0..{args.kmax}) = {hf}"])
 
 
 # -- golden verifications ----------------------------------------------------
 
 
-def _case(cases, lines, ok, label, line=None, **extra):
-    """Record one verify case: its JSON entry and its human-readable line
-    (`line` when the line says more than the label).  Verifiers record
-    every case here and return nothing; _cmd_verify takes the verdict from
-    the case list."""
-    cases.append({"case": label, "ok": ok, **extra})
-    lines.append(f"{line or label}: {'OK' if ok else 'MISMATCH'}")
+def _case(ok, label, line=None, **extra):
+    """One verify case: its JSON entry and its human-readable line (`line`
+    when the line says more than the label).  Verifiers yield these pairs;
+    _cmd_verify takes the verdict from the entries."""
+    return {"case": label, "ok": ok, **extra}, f"{line or label}: {'OK' if ok else 'MISMATCH'}"
 
 
-def _tables_equal(engine, golden, label, cases, lines):
+def _tables_equal(engine, golden, label):
+    """The case engine == golden; a mismatch writes the tables' diff to stderr."""
     ok = engine == golden
-    _case(cases, lines, ok, label)
     if not ok:
         print(f"{label} diff:\n{engine.diff(golden)}", file=sys.stderr)
+    return _case(ok, label)
 
 
-def _verify_prop_2_2(args, cases, lines):
+def _expect(value, expected, label, line=None, **extra):
+    """The case value == expected; a mismatch writes both to stderr."""
+    ok = value == expected
+    if not ok:
+        print(f"{label}: got {value}, expected {expected}", file=sys.stderr)
+    return _case(ok, label, line, **extra)
+
+
+def _verify_prop_2_2(args):
     pairs = [(2, 5), (3, 6), (4, 8), (5, 9)]
     if args.d is not None or args.n is not None:
         d = 2 if args.d is None else args.d
         pairs = [(d, d + 3 if args.n is None else args.n)]
     for d, n in pairs:
         engine = resolution_terms(GrassmannianContext(1, d, n))
-        _tables_equal(engine, table_s1(d, n), f"s=1 table ({d},{n})", cases, lines)
-        extras = engine.regularity() == d - 1 and engine.proj_dim() == n - d
-        _case(cases, lines, extras, f"s=1 reg/pd ({d},{n})")
+        yield _tables_equal(engine, table_s1(d, n), f"s=1 table ({d},{n})")
+        got = {"proj_dim": engine.proj_dim(), "regularity": engine.regularity()}
+        yield _expect(got, {"proj_dim": n - d, "regularity": d - 1}, f"s=1 reg/pd ({d},{n})")
 
 
-def _verify_prop_2_4(args, cases, lines):
+def _verify_prop_2_4(args):
     for n in [5, 6, 7, 8] if args.n is None else [args.n]:
         engine = resolution_terms(GrassmannianContext(2, 3, n))
-        _tables_equal(
-            engine.restrict_index(3), table_s2_d3(n), f"(2,3,{n}) indices 0..3", cases, lines
-        )
-        _case(
-            cases, lines, engine.regularity() == 2, f"(2,3,{n}) regularity",
+        yield _tables_equal(engine.restrict_index(3), table_s2_d3(n), f"(2,3,{n}) indices 0..3")
+        yield _expect(
+            {"regularity": engine.regularity()}, {"regularity": 2}, f"(2,3,{n}) regularity",
             line=f"(2,3,{n}) regularity 2",
         )
 
 
-def _verify_m2_output(args, cases, lines):
+def _verify_m2_output(args):
     ctx = GrassmannianContext(2, 3, 8)
     expected = {1: (1, 0), 2: (45, 1), 3: (180, 15), 4: (310, 145)}
 
@@ -268,23 +268,20 @@ def _verify_m2_output(args, cases, lines):
     for q, (h1, h2) in expected.items():
         coh = cohomology_table(ctx, q)
         got = (group_rank(coh, 1), group_rank(coh, 2))
-        _case(
-            cases, lines, got == (h1, h2), f"q={q}",
-            line=f"q={q}: ranks {got}, expected {(h1, h2)}", got=list(got),
-        )
+        yield _expect(got, (h1, h2), f"q={q}", line=f"q={q}: ranks {got}, expected {(h1, h2)}", got=list(got))
     h2_5 = group_rank(cohomology_table(ctx, 5), 2)
-    _case(cases, lines, h2_5 == 705, "q=5", line=f"q=5: H^2 rank {h2_5}, expected 705", got=h2_5)
+    yield _expect(h2_5, 705, "q=5", line=f"q=5: H^2 rank {h2_5}, expected 705", got=h2_5)
 
 
-def _verify_thm_3_3(args, cases, lines):
+def _verify_thm_3_3(args):
     for n in [4, 5, 6, 7, 8] if args.n is None else [args.n]:
         cone = cone_table_d2(n)
-        _tables_equal(cone, kalman_table_d2(n), f"d=2 cone ({n})", cases, lines)
-        extras = cone.proj_dim() == 2 * n - 5 and cone.regularity() == 2
-        _case(cases, lines, extras, f"d=2 pd/reg ({n})")
+        yield _tables_equal(cone, kalman_table_d2(n), f"d=2 cone ({n})")
+        got = {"proj_dim": cone.proj_dim(), "regularity": cone.regularity()}
+        yield _expect(got, {"proj_dim": 2 * n - 5, "regularity": 2}, f"d=2 pd/reg ({n})")
 
 
-def _verify_thm_3_5(args, cases, lines):
+def _verify_thm_3_5(args):
     for n in [6, 7, 8, 9] if args.n is None else [args.n]:
         table = kalman_cone_d3(n)
         counts = {e: table.rank(1, e) for e in table.degrees(1)}
@@ -295,41 +292,33 @@ def _verify_thm_3_5(args, cases, lines):
             6: comb(n - 1, 3),
         }
         expected = {e: c for e, c in expected.items() if c}
-        listed = {(e, lam, mu) for lam, mu, e in kalman_equations_d3(n)}
-        entries = {
-            (e, lam, mu)
-            for i, e, lam, mu, _m in table.entries()
-            if i == 1
-        }
-        _case(
-            cases, lines, counts == expected and entries == listed, f"d=3 generators ({n})",
-            line=f"d=3 generator degrees ({n}): {counts} expected {expected}", counts=counts,
+        listed = sorted({(e, lam, mu) for lam, mu, e in kalman_equations_d3(n)})
+        entries = sorted({(e, lam, mu) for i, e, lam, mu, _m in table.entries() if i == 1})
+        yield _expect(
+            {"counts": counts, "generators": entries}, {"counts": expected, "generators": listed},
+            f"d=3 generators ({n})", line=f"d=3 generator degrees ({n}): {counts} expected {expected}", counts=counts,
         )
 
 
-def _verify_prop_sdm1(args, cases, lines):
+def _verify_prop_sdm1(args):
     for d in [3, 4, 5, 6] if args.d is None else [args.d]:
         n = d + 3 if args.n is None else args.n
         engine = resolution_terms(GrassmannianContext(d - 1, d, n)).restrict_index(2)
-        _tables_equal(engine, table_corank1(d, n), f"s=d-1 table ({d},{n})", cases, lines)
+        yield _tables_equal(engine, table_corank1(d, n), f"s=d-1 table ({d},{n})")
 
 
-def _verify_prop_ndp1(args, cases, lines):
+def _verify_prop_ndp1(args):
     for d in [1, 2, 3, 4, 5] if args.d is None else [args.d]:
         for s in range(1, d + 1):
             engine = resolution_terms(GrassmannianContext(s, d, d + 1))
-            _tables_equal(
-                engine, table_w_line(s, d), f"n=d+1 table (s={s}, d={d})", cases, lines
-            )
+            yield _tables_equal(engine, table_w_line(s, d), f"n=d+1 table (s={s}, d={d})")
 
 
 def _verify_inductive(d):
-    def run(args, cases, lines):
+    def run(args):
         for n in [4, 5, 6, 7] if args.n is None else [args.n]:
-            _case(
-                cases, lines, conjecture_consistency(d, n).consistent, f"d={d}, n={n}",
-                line=f"inductive d={d}, n={n}",
-            )
+            got = {"residual_numerator": list(conjecture_consistency(d, n).residual.coeffs)}
+            yield _expect(got, {"residual_numerator": []}, f"d={d}, n={n}", line=f"inductive d={d}, n={n}")
 
     return run
 
@@ -353,14 +342,14 @@ def _cmd_verify(args) -> int:
     for flag in ("d", "n"):
         if getattr(args, flag) is not None and flag not in flags:
             raise ValueError(f"verify {args.id} does not take --{flag}")
-    cases, lines = [], []
-    verifier(args, cases, lines)
-    if not cases:
+    results = list(verifier(args))
+    if not results:
         raise ValueError(f"verify {args.id} runs no case with --d {args.d} --n {args.n}")
-    ok = all(c["ok"] for c in cases)
-    payload = {"id": args.id, "status": "ok" if ok else "mismatch", "cases": cases}
-    _emit(payload, args.json, lambda: lines + [f"verify {args.id}: {'OK' if ok else 'MISMATCH'}"])
-    return OK if ok else MISMATCH
+    cases, lines = zip(*results)
+    ok = all(case["ok"] for case in cases)
+    # "status": None keeps the status second, where _emit's union writes it
+    payload = {"id": args.id, "status": None, "cases": cases}
+    return _emit(args, ok, payload, lambda: [*lines, _case(ok, f"verify {args.id}")[1]])
 
 
 # -- parser ------------------------------------------------------------------

@@ -362,11 +362,10 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
     kernel bases u_a, v_b the Jacobian rank is the rank of the matrix whose
     row (a, b) holds u_a (dM/dx) v_b for every entry x of phi.  If
     rank M < k-1, every cofactor of a k x k submatrix is a vanishing
-    (k-1)-minor and the rank is 0."""
+    (k-1)-minor and the rank is 0.  At s = d, k = 1 and M = 0 at every
+    member, so both kernels are everything and the rank is d(n-d)."""
     import numpy as np
-    if not 1 <= s < d < n:
-        raise ValueError("need 1 <= s < d < n")
-    pt = sample_member(s, d, n, seed, p)  # checks the modulus
+    pt = sample_member(s, d, n, seed, p)  # checks the modulus and 1 <= s <= d < n
     stack = reduced_kalman_matrix(pt).data
     k = d - s + 1
     left, rank = _left_kernel(stack, p)
@@ -523,7 +522,8 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
                     for j in range(k):
                         vals = vals * flats[:m, monos[rows, j]] % p
                     for b, block in zip(inverse[rows[::r]], np.split(vals, len(rows) // r, axis=1)):
-                        ranks[b] = max(ranks[b], len(_echelon(block, p)[1]))  # the rank of the block's rows
+                        if ranks[b] < r:  # a block at full row rank cannot rank higher
+                            ranks[b] = max(ranks[b], len(_echelon(block, p)[1]))  # the rank of the block's rows
             dim_k = sum(int(r) * orbit for r, orbit in zip(ranks, orbits))
         # multiplying by a variable is injective on A_0, so dim I'_k cannot fall
         if dim_k < prev_dim:

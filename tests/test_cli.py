@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -10,8 +11,8 @@ import pytest
 from kalmanres import cli, kalman
 from kalmanres.bott import GrassmannianContext
 from kalmanres.cli import _VERIFIERS, MISMATCH, OK, REFUSED, USAGE, main
-from kalmanres.geometric import BettiTable, resolution_terms
-from kalmanres.resolutions import table_s1
+from kalmanres.geometric import BettiTable, hilbert_series_normalization, resolution_terms
+from kalmanres.resolutions import conjecture_consistency, table_s1
 from property_checks import kalman_stack_rank, sample_generic_oracle, sample_member_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +22,34 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def perturbed_table_s1(d, n):
+    table = table_s1(d, n)
+    table.add(1, 2, (1, 1), (1, 1))  # a second copy of a generator
+    return table
+
+
+def with_residual(d, n):
+    """The conjecture report of (d, n) with its prediction as a nonzero residual."""
+    report = conjecture_consistency(d, n)
+    return dataclasses.replace(report, residual=report.prediction)
+
+
+def zero_series(ctx):
+    """A zero Hilbert series, where the table route's is not."""
+    series = hilbert_series_normalization(ctx)
+    return series - series
+
+
+# a call of each checking subcommand -> (the check it reads, a replacement that fails)
+FAILING_CHECKS = {
+    "hilbert --s 1 --d 2 --n 5": ("hilbert_series_normalization", zero_series),
+    "conjecture --d 2 --n 5": ("conjecture_consistency", with_residual),
+    "kalman-test --s 1 --d 2 --n 4 --trials 5": ("minors_vanish", lambda m, k: ~kalman.minors_vanish(m, k)),
+    "codim --s 1 --d 2 --n 4": ("jacobian_codim", lambda *args: 0),
+    "verify prop-2-2 --d 2 --n 5": ("table_s1", perturbed_table_s1),
+}
 
 
 class TestExitCodes:
@@ -265,6 +294,12 @@ class TestKalmanSampling:
         assert code == OK
         assert payload["jacobian_rank"] == payload["expected"] == 2
 
+    def test_codim_at_s_equal_d(self, capsys):
+        # at s = d every member has M = 0, and the rank is s(n-d)
+        code, payload = run_json(capsys, ["codim", "--s", "2", "--d", "2", "--n", "4"])
+        assert code == OK
+        assert payload["jacobian_rank"] == payload["expected"] == 4
+
     def test_hf(self, capsys):
         code, payload = run_json(
             capsys, ["hf", "--s", "1", "--d", "2", "--n", "4", "--kmax", "2"]
@@ -347,6 +382,50 @@ class TestVerify:
             "s=1 reg/pd (2,5): OK",
             "verify prop-2-2: MISMATCH",
         ]
+
+
+class TestVerdict:
+    """_emit is the one exit path: exit 0 with "status": "ok", or 1 with
+    "status": "mismatch", the status last, or second for verify."""
+
+    @staticmethod
+    def status_position(command, keys):
+        return 1 if command == "verify" else len(keys) - 1
+
+    @pytest.mark.parametrize("call", sorted(FAILING_CHECKS))
+    def test_a_failing_check_is_a_mismatch(self, capsys, monkeypatch, call):
+        name, failing = FAILING_CHECKS[call]
+        monkeypatch.setattr(cli, name, failing)
+        assert main(call.split()) == MISMATCH
+        capsys.readouterr()
+        code, payload = run_json(capsys, call.split())
+        assert code == MISMATCH
+        keys = list(payload)
+        assert keys.index("status") == self.status_position(call.split()[0], keys)
+        assert payload["status"] == "mismatch"
+
+    def test_every_reference_puts_the_status_there(self):
+        for path in sorted((ROOT / "bench" / "reference").glob("*.stdout")):
+            keys = list(json.loads(path.read_text()))
+            assert keys.index("status") == self.status_position(path.name.split("_")[0], keys), path.name
+
+    def test_a_failed_inductive_case_reports_its_residual(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "conjecture_consistency", with_residual)
+        assert main(["verify", "inductive-d2", "--n", "5"]) == MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["inductive d=2, n=5: MISMATCH", "verify inductive-d2: MISMATCH"]
+        numerator = list(conjecture_consistency(2, 5).prediction.coeffs)
+        assert captured.err.splitlines() == [
+            f"d=2, n=5: got {{'residual_numerator': {numerator}}}, expected {{'residual_numerator': []}}"
+        ]
+
+    def test_a_failed_comparison_reports_what_it_got(self, capsys, monkeypatch):
+        # every rank that m2-output compares goes through _group_rank
+        monkeypatch.setattr(cli, "_group_rank", lambda ctx, lam, mu, mult: 0)
+        assert main(["verify", "m2-output"]) == MISMATCH
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "q=1: got (0, 0), expected (1, 0)"
+        assert err[-1] == "q=5: got 0, expected 705"
 
 
 # Runs CLI calls in one fresh interpreter: the calls' stdout goes to stdout,

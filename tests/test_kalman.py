@@ -399,18 +399,21 @@ class TestJacobian:
     @pytest.mark.parametrize("p", [P_DEFAULT, 3])
     def test_matches_minors_oracle(self, p):
         # kernel formula against the Jacobian of every minor, by adjugates;
-        # over F_3 about a quarter of the samples have rank M < k-1
+        # over F_3 about a quarter of the samples have rank M < k-1; at
+        # s = d, M = 0 and the 1-minors are the entries of M
         for n in range(3, 7):
             for d in range(2, n):
-                for s in range(1, d):
+                for s in range(1, d + 1):
                     for seed in range(3):
                         phi = sample_member(s, d, n, seed, p).phi.tolist()
                         expected = minors_jacobian_rank(phi, d, d - s + 1, p)
                         assert jacobian_codim(s, d, n, seed, p) == expected, (s, d, n, seed)
 
     def test_validation(self):
+        # s = d is admitted, as by sample_member: M = 0, and the rank is s(n-d)
+        assert jacobian_codim(2, 2, 4, seed=0) == 4
         with pytest.raises(ValueError):
-            jacobian_codim(2, 2, 4, seed=0)
+            jacobian_codim(0, 2, 4, seed=0)
         with pytest.raises(ValueError):
             jacobian_codim(1, 4, 4, seed=0)
 
@@ -603,6 +606,31 @@ class TestNumericHilbertFunction:
             calls.clear()
             numeric_hilbert_function(s, d, n, k_max, seed=0)
             assert calls == [(d * (n - d), d, d - s + 1)], (s, d, n)
+
+    def test_second_point_set_skips_blocks_at_full_row_rank(self, monkeypatch):
+        # each point set evaluates the minors once and then ranks its blocks
+        # in one order: the second set of a degree eliminates only the blocks
+        # whose rank after the first set is below their row count r
+        sets = []
+
+        def counting_echelon(mat, p):
+            result = _echelon(mat, p)
+            sets[-1].append((mat.shape[1], len(result[1])))  # (r, the block's rank)
+            return result
+
+        def marking_minor_values(*args):
+            sets.append([])
+            return _minor_values(*args)
+
+        monkeypatch.setattr(kalman, "_echelon", counting_echelon)
+        monkeypatch.setattr(kalman, "_minor_values", marking_minor_values)
+        assert numeric_hilbert_function(1, 2, 4, 5, seed=0) == [1, 16, 135, 797, 3696, 14343]
+        assert kalman.HF_REPEATS == 2 and len(sets) % 2 == 0
+        for first, second in zip(sets[0::2], sets[1::2]):
+            assert [r for r, _ in second] == [r for r, rank in first if rank < r]
+        # both kinds occur: blocks at full rank, and blocks ranked again
+        assert any(rank == r for first in sets[0::2] for r, rank in first)
+        assert any(sets[1::2])
 
     def test_budget_boundary(self, monkeypatch):
         from kalmanres.geometric import hilbert_series
