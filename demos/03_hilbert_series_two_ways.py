@@ -5,14 +5,13 @@ One series, two computations
 The Hilbert series of the normalization can be read off the Betti table
 (alternating sum of ranks) or assembled directly from Euler
 characteristics on the Grassmannian, skipping the Betti table entirely.
-Both routes sweep the same Cauchy and Littlewood-Richardson candidates of
-the exterior powers of the bundle and share the LR counts on regular
-weights, so they do not check that step.  Each drops the weights that
-vanish by its own test before their LR coefficient is counted: the table
-route by Bott's repeat test, the Euler route by a zero Weyl product.  After
-that they part: the table route runs Bott's algorithm and hook-content
-ranks, the Euler route only the Weyl dimension product.  Agreement checks
-both vanishing tests and everything downstream of the shared sweep.
+The two routes share no LR, Bott or hook-content step.  The table route
+decomposes the exterior powers of the bundle by Cauchy and
+Littlewood-Richardson, then runs Bott's algorithm and hook-content ranks.
+The Euler route splits each exterior power by Cauchy over Q* + W and sums
+Weyl dimension products times the ranks of skew Schur functors of W, each
+a determinant of binomials (dual Jacobi-Trudi).  Agreement checks the LR
+counts, Bott's repeat test and algorithm, and the ranks.
 """
 
 from kalmanres import (

@@ -120,6 +120,8 @@ def _cmd_hilbert(args) -> int:
     direct = hilbert_series_normalization(ctx)
     assembled = hilbert_series(resolution_terms(ctx))
     agree = direct == assembled
+    if not agree:
+        print(f"routes differ: table route {assembled}, Euler route {direct}", file=sys.stderr)
     payload = {
         "context": {"s": ctx.s, "d": ctx.d, "n": ctx.n},
         "numerator": list(direct.coeffs),

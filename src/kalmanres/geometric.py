@@ -7,10 +7,9 @@ normalization: a summand of wedge^q(xi) with cohomology in degree j lands in
 homological index i = q - j and internal degree e = q.
 
 Hilbert series are computed twice, by design: once from the assembled table
-(Bott degrees plus hook content ranks) and once as an Euler characteristic
-via the Weyl dimension product (no sorting, no hooks).  They share the sweep
-and the LR counts on regular weights; each drops vanishing weights by its own
-test.  The two routes must agree exactly; tests enforce this.
+(LR products, Bott degrees, hook-content ranks) and once as an Euler
+characteristic from Cauchy, Weyl products and skew ranks, with no step of the
+first.  The two routes must agree exactly; `hilbert` and the tests check it.
 """
 
 from __future__ import annotations
@@ -348,11 +347,7 @@ def hilbert_series(table: BettiTable) -> HilbertSeries:
             raise ValueError("negative internal degree")
         sign = -1 if i % 2 else 1
         coeffs[e] = coeffs.get(e, 0) + sign * mult * table.entry_rank(lam, mu)
-    size = max(coeffs, default=-1) + 1
-    out = [0] * size
-    for e, c in coeffs.items():
-        out[e] = c
-    return HilbertSeries(tuple(out), n * n)
+    return HilbertSeries(tuple(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1)), n * n)
 
 
 def weyl_euler_characteristic(weight: Weight, d: int) -> int:
@@ -374,41 +369,57 @@ def weyl_euler_characteristic(weight: Weight, d: int) -> int:
     return q
 
 
-def _weyl_product_vanishes(mu_qstar: Partition, ctx: GrassmannianContext) -> Callable:
-    """The Euler route's own test, apart from Bott's: with Q* fixed, is the Weyl
-    product of the summand zero?  Both parts of u = weight + rho strictly
-    decrease, so u repeats exactly when an R-entry equals a Q-entry."""
-    d, s = ctx.d, ctx.rank_sub
-    alpha = dual_weight(mu_qstar.pad(ctx.rank_quot))
-    u_quot = tuple(w + d - 1 - j for j, w in enumerate(alpha))
+def _det(matrix: list) -> int:
+    """Determinant of a square integer matrix, a list of rows left as it is:
+    fraction-free (Bareiss) elimination with row swaps, exact in Python ints."""
+    m, sign, prev = [list(row) for row in matrix], 1, 1
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot], sign = m[pivot], m[k], sign if pivot == k else -sign
+        top, head = m[k], m[k][k]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * head - lead * top[j]) // prev
+        prev = head
+    return sign * prev
 
-    def vanishes(lam: Partition) -> bool:
-        for i in range(s):
-            if (lam[i] if i < len(lam) else 0) + s - 1 - i in u_quot:
-                return True
-        return False
 
-    return vanishes
+def _skew_rank(lam: Partition, mu_conj: Partition, binom: list) -> int:
+    """Rank of S_{lam'/mu}(C^w) for mu in lam': by dual Jacobi-Trudi (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5), det C(w, lam_i - mu'_j - i + j)
+    over i, j < len(lam), with C(w, k) read as binom[k], negative k included."""
+    cols = [mu_conj.part(j) - j for j in range(len(lam))]
+    return _det([[binom[v - i - b] for b in cols] for i, v in enumerate(lam)])
 
 
 @lru_cache(maxsize=None)
 def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
-    """Hilbert series of the normalization, computed directly as
-    sum_q (-t)^q chi(wedge^q xi) with chi through the Weyl dimension product.
+    """Hilbert series of the normalization, sum_q (-t)^q chi(wedge^q xi), with
+    no LR, Bott or hook-content step; it must equal the table route's.
 
-    Shares the candidate sweep and the LR counts on regular weights with
-    hilbert_series(resolution_terms(ctx)), drops weights of zero Weyl product
-    by its own test (no Bott, no hook-content ranks); the two must agree.
+    Cauchy over F = Q* + W: wedge^q(R (x) F) = sum of S_lam R (x) S_mu Q* (x)
+    S_{lam'/mu} W over lam |- q in an s x (n - s) box and mu in lam' of at
+    most d - s rows.  W is trivial on Gr(s, L), so chi sums the Weyl product
+    of (dual mu, lam) times the rank of S_{lam'/mu} W.  Each half of weight +
+    rho strictly decreases, so the product is zero, and the pair skips its
+    skew rank, exactly when a shifted Q-entry equals a shifted R-entry.
     """
+    s, quot, d = ctx.rank_sub, ctx.rank_quot, ctx.d
+    binom = [comb(ctx.dim_w, k) for k in range(ctx.n)]  # skew ranks read w + 1 - n <= k < n
+    qstar = []  # (mu', Q-weight, shifted Q-entries) for every mu in a (d - s) x s box
+    for mu in (mu for b in range(quot * s + 1) for mu in partitions_in_box(b, quot, s)):
+        alpha = dual_weight(mu.pad(quot))
+        qstar.append((mu.conjugate(), alpha, {v + d - 1 - j for j, v in enumerate(alpha)}))
     coeffs = [0] * (ctx.xi_rank + 1)
     for q in range(ctx.xi_rank + 1):
-        total = 0
-        for summand in xi_exterior_decomposition(ctx, q, vanishes=_weyl_product_vanishes):
-            nu = dual_weight(summand.mu_qstar.pad(ctx.rank_quot)) + summand.lambda_r.pad(
-                ctx.rank_sub
-            )
-            chi = weyl_euler_characteristic(nu, ctx.d)
-            if chi:
-                total += summand.mult * chi * schur_rank(summand.nu_w, ctx.dim_w)
-        coeffs[q] = total if q % 2 == 0 else -total
+        for lam in partitions_in_box(q, s, ctx.n - s):
+            beta = lam.pad(s)
+            shifted = {v + s - 1 - i for i, v in enumerate(beta)}
+            for mu_conj, alpha, taken in qstar:
+                if not shifted & taken:  # then mu lies in lam' (Macdonald, I.1.7)
+                    chi = weyl_euler_characteristic(alpha + beta, d)
+                    coeffs[q] += (-1) ** q * chi * _skew_rank(lam, mu_conj, binom)
     return HilbertSeries(tuple(coeffs), ctx.n * ctx.n)

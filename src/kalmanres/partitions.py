@@ -92,7 +92,7 @@ def schur_rank(lam: Partition, n: int) -> int:
     once at the end and must be exact.  Returns 0 exactly when the diagram
     has more than n rows.  lam may be any sequence of parts: it becomes a
     Partition first, and the rank is cached per (partition, n), since a
-    Betti table and the Euler route ask for the same few ranks many times.
+    Betti table asks for the same few ranks many times.
     """
     return _schur_rank(Partition(lam), n)
 

@@ -7,8 +7,8 @@ tautology.  The exceptions are the library's former code, kept as written:
 lr_coefficient_cells, the cell-by-cell LR backtracker, which shares no code
 with the flat kernel that replaced it and checks it on every small triple;
 the two Hilbert-series routes before their vanishing pre-tests, which
-run every summand of the complete decomposition through Bott and the Weyl
-product; the Koszul table that filters unbounded LR products by length; the
+run every summand of the complete Cauchy + LR decomposition through Bott and
+the Weyl product (the second is the LR-based oracle for the Euler route); the Koszul table that filters unbounded LR products by length; the
 three cancellation specs of the d = 2 and d = 3 cones, listed by hand before
 each cone derived its own; the downward replay of the inductive sequence in
 the n = d+1 corner; and the graded F_p Hilbert function that ranks every
@@ -42,6 +42,7 @@ from kalmanres.schur import lr_product
 # -- semistandard tableaux ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def ssyt_count(shape, n) -> int:
     """Number of semistandard tableaux of the given shape with entries in
     1..n: rows weakly increase, columns strictly increase."""
@@ -278,6 +279,31 @@ def lr_coefficient_cells(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total
 
 
+# -- integer determinants and skew Schur ranks --------------------------------
+
+
+def leibniz_det(a) -> int:
+    """Determinant over the integers: the Leibniz sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(len(a)), 2))
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def skew_schur_rank(kappa, mu, w) -> int:
+    """Rank of S_{kappa/mu}(C^w) for mu in kappa: sum over nu of
+    c^kappa_{mu,nu} times the number of SSYT of shape nu in 1..w."""
+    kappa, mu = Partition(kappa), Partition(mu)
+    return sum(
+        c * ssyt_count(nu, w)
+        for nu in partitions_in_box(sum(kappa) - sum(mu), len(kappa), kappa.part(0))
+        if (c := lr_coefficient_cells(mu, nu, kappa))
+    )
+
+
 # -- the two Hilbert-series routes without vanishing pre-tests -----------------
 
 
@@ -295,8 +321,9 @@ def cohomology_table_unfiltered(ctx, q):
 
 
 def hilbert_series_normalization_unfiltered(ctx):
-    """hilbert_series_normalization with the Weyl product taken on every
-    summand of the complete decomposition of each wedge^q(xi)."""
+    """The LR-based oracle for hilbert_series_normalization: the Weyl product
+    taken on every summand of the complete Cauchy + LR decomposition of each
+    wedge^q(xi), where the library route uses skew ranks instead."""
     coeffs = [0] * (ctx.xi_rank + 1)
     for q in range(ctx.xi_rank + 1):
         total = 0

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from kalmanres import cli, kalman
+from kalmanres import cli, kalman, schur
 from kalmanres.bott import GrassmannianContext
 from kalmanres.cli import _VERIFIERS, MISMATCH, OK, REFUSED, USAGE, main
-from kalmanres.geometric import BettiTable, hilbert_series_normalization, resolution_terms
+from kalmanres.geometric import BettiTable, hilbert_series, hilbert_series_normalization, resolution_terms
 from kalmanres.resolutions import conjecture_consistency, table_s1
 from property_checks import kalman_stack_rank, sample_generic_oracle, sample_member_oracle
 
@@ -403,6 +403,39 @@ class TestVerdict:
         keys = list(payload)
         assert keys.index("status") == self.status_position(call.split()[0], keys)
         assert payload["status"] == "mismatch"
+
+    def test_a_hilbert_mismatch_shows_both_series(self, capsys, monkeypatch):
+        # stderr holds the table route's series and the Euler route's; stdout
+        # in text and JSON is what it was
+        monkeypatch.setattr(cli, "hilbert_series_normalization", zero_series)
+        table = hilbert_series(resolution_terms(GrassmannianContext(1, 2, 5)))
+        both = f"routes differ: table route {table}, Euler route 0"
+        call = ["hilbert", "--s", "1", "--d", "2", "--n", "5"]
+        assert main(call) == MISMATCH
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["0", "double-computation agreement: False"]
+        assert captured.err.splitlines() == [both]
+        assert main(call + ["--json"]) == MISMATCH
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "context": {"s": 1, "d": 2, "n": 5},
+            "numerator": [],
+            "denominator_exponent": 25,
+            "routes_agree": False,
+            "status": "mismatch",
+        }
+        assert captured.err.splitlines() == [both]
+
+    def test_an_lr_error_is_a_mismatch(self, monkeypatch):
+        # the Euler route counts no LR coefficient, so one coefficient too
+        # many on every c >= 2 reaches the table route alone
+        count = schur.lr_coefficient
+        monkeypatch.setattr(schur, "lr_coefficient", lambda *args: count(*args) + (count(*args) >= 2))
+        hilbert_series_normalization.cache_clear()
+        try:
+            assert main(["hilbert", "--s", "3", "--d", "5", "--n", "8"]) == MISMATCH
+        finally:
+            hilbert_series_normalization.cache_clear()
 
     def test_every_reference_puts_the_status_there(self):
         for path in sorted((ROOT / "bench" / "reference").glob("*.stdout")):

@@ -1,13 +1,17 @@
+import importlib
+import random
 from collections import Counter
 from math import comb
 
 import pytest
 
+from kalmanres import geometric, schur
 from kalmanres.bott import GrassmannianContext, cohomology_of_summand, vanishing_test
 from kalmanres.geometric import (
     BettiTable,
-    _weyl_product_vanishes,
     HilbertSeries,
+    _det,
+    _skew_rank,
     XiSummand,
     cohomology_table,
     hilbert_series,
@@ -21,7 +25,12 @@ from kalmanres.schur import lr_product
 from property_checks import (
     cohomology_table_unfiltered,
     hilbert_series_normalization_unfiltered,
+    leibniz_det,
+    skew_schur_rank,
 )
+
+
+BOTT = importlib.import_module("kalmanres.bott")  # the package's name bott is the function
 
 
 def candidates(lam, mu, rows):
@@ -95,12 +104,11 @@ class TestVanishingPreTests:
 
     @staticmethod
     def assert_pre_tests_agree(ctx, pairs, seen):
-        # Bott's repeat test, the Euler route's own test, Bott and the Weyl
-        # product all say the same of every (Q*-partition, R-partition) pair
+        # Bott's repeat test, Bott and the Weyl product all say the same of
+        # every (Q*-partition, R-partition) pair
         for qstar, nu in pairs:
             bott_says = vanishing_test(qstar, ctx)(nu)
             weight = dual_weight(qstar.pad(ctx.rank_quot)) + nu.pad(ctx.rank_sub)
-            assert bott_says == _weyl_product_vanishes(qstar, ctx)(nu), (ctx, qstar, nu)
             assert bott_says == cohomology_of_summand(nu, qstar, ctx).is_zero, (ctx, qstar, nu)
             assert bott_says == (weyl_euler_characteristic(weight, ctx.d) == 0), (ctx, qstar, nu)
             seen[bott_says] += 1
@@ -430,6 +438,71 @@ class TestResolutionEngine:
         t.add(0, -1, (), ())
         with pytest.raises(ValueError):
             hilbert_series(t)
+
+
+class TestEulerRoute:
+    # s = d (no Q*), n = d + 1 (W a line), and three with Q* and a W of rank 3
+    CONTEXTS = [GrassmannianContext(*c) for c in [(3, 3, 5), (2, 4, 5), (2, 3, 6), (3, 5, 8), (4, 6, 9)]]
+
+    def test_reaches_no_lr_bott_hook_or_sweep_step(self, monkeypatch):
+        # every LR, Bott, hook-content and sweep function raises, and the
+        # route still gives the table route's series
+        expected = {ctx: hilbert_series(resolution_terms(ctx)) for ctx in self.CONTEXTS}
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the Euler route reached a step of the table route")
+
+        for owner, name in [
+            (schur, "lr_coefficient"),
+            (schur, "lr_product"),
+            (geometric, "xi_exterior_decomposition"),
+            (geometric, "cohomology_of_summand"),
+            (geometric, "vanishing_test"),
+            (geometric, "schur_rank"),
+            (BOTT, "bott"),
+            (BOTT, "cohomology_of_summand"),
+            (BOTT, "vanishing_test"),
+        ]:
+            monkeypatch.setattr(owner, name, refuse)
+        hilbert_series_normalization.cache_clear()
+        try:
+            for ctx in self.CONTEXTS:
+                assert hilbert_series_normalization(ctx) == expected[ctx], ctx
+        finally:
+            hilbert_series_normalization.cache_clear()
+
+    def test_determinant_equals_leibniz(self):
+        rng = random.Random(0)
+        seen = Counter()
+        for size in range(7):
+            for trial in range(40 if size < 6 else 12):
+                a = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+                if size and trial % 4 == 1:
+                    a[0][0] = 0  # a zero leading pivot: the elimination swaps rows
+                if size > 1 and trial % 4 == 2:
+                    a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]  # singular
+                if size and trial % 4 == 3:
+                    for row in a:
+                        row[0] = 0  # no pivot in the first column
+                frozen = [row[:] for row in a]
+                det = _det(a)
+                assert det == leibniz_det(a), a
+                assert a == frozen  # the matrix is left as it is
+                seen["zero" if det == 0 else "nonzero"] += 1
+        assert seen["zero"] > 60 and seen["nonzero"] > 60, seen
+
+    def test_skew_rank_equals_lr_times_tableau_count(self):
+        # rank S_{kappa/mu}(C^w) = sum_nu c^kappa_{mu,nu} #SSYT(nu, w) for every
+        # kappa in a 4 x 4 box, mu in kappa and w <= 4; the determinant reads
+        # C(w, k) at -7 <= k <= 7, a negative k at a zero past C(w, w)
+        box = [p for q in range(17) for p in partitions_in_box(q, 4, 4)]
+        for w in range(5):
+            binom = [comb(w, k) for k in range(16)]
+            for kappa in box:
+                for mu in box:
+                    if all(a >= b for a, b in zip(kappa.pad(4), mu.pad(4))):
+                        got = _skew_rank(kappa.conjugate(), mu.conjugate(), binom)
+                        assert got == skew_schur_rank(kappa, mu, w), (kappa, mu, w)
 
 
 class TestWeylEuler:
