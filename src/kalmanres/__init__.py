@@ -8,6 +8,9 @@ Hilbert series.
 The numeric half (kalman) samples matrices over a large prime field to check
 the minor equations, the Jacobian codimension, and low-degree Hilbert
 function values.
+
+The records are named tuples, not dataclasses: `dataclasses` loads `inspect`
+and `ast`, which cost every symbolic CLI call more than the package itself.
 """
 
 from .bott import CohomologyResult, GrassmannianContext, bott, cohomology_of_summand

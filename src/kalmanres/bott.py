@@ -19,27 +19,26 @@ Conventions (load-bearing, do not change silently):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional
 
 from .partitions import Partition, Weight, dual_weight, is_weakly_decreasing
 
 
-@dataclass(frozen=True)
-class GrassmannianContext:
+class GrassmannianContext(namedtuple("GrassmannianContext", "s d n")):
     """Ambient data: subspace dimension s inside L of dimension d, with the
     whole space of dimension n (so the complement W has dimension n - d).
 
     Requires 1 <= s <= d < n.  s = d is the degenerate point Grassmannian.
     """
 
-    s: int
-    d: int
-    n: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.s <= self.d < self.n):
-            raise ValueError(f"need 1 <= s <= d < n, got {(self.s, self.d, self.n)}")
+    def __new__(cls, s: int, d: int, n: int):
+        if not (1 <= s <= d < n):
+            raise ValueError(f"need 1 <= s <= d < n, got {(s, d, n)}")
+        return super().__new__(cls, s, d, n)
 
     @property
     def rank_sub(self) -> int:
@@ -62,8 +61,7 @@ class GrassmannianContext:
         return tuple(range(self.d - 1, -1, -1))
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     """Either zero, or concentrated in a single degree with an L-weight."""
 
     degree: Optional[int]

@@ -14,19 +14,18 @@ first.  The two routes must agree exactly; `hilbert` and the tests check it.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterator, Optional
+from operator import sub
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import schur
 from .bott import GrassmannianContext, cohomology_of_summand, vanishing_test
 from .partitions import Partition, Weight, dual_weight, partitions_in_box, schur_rank
 
 
-@dataclass(frozen=True)
-class XiSummand:
+class XiSummand(NamedTuple):
     """One irreducible summand S_{lambda_r} R (x) S_{mu_qstar} Q* (x) S_{nu_w} W
     of an exterior power of xi, with its multiplicity."""
 
@@ -266,19 +265,18 @@ def resolution_terms(ctx: GrassmannianContext) -> BettiTable:
     return table
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(namedtuple("HilbertSeries", "coeffs denominator_exponent")):
     """Rational series numerator / (1 - t)^denominator_exponent with integer
     numerator coefficients (index = degree)."""
 
-    coeffs: tuple
-    denominator_exponent: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __new__(cls, coeffs: tuple, denominator_exponent: int):
+        coeffs = tuple(int(c) for c in coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs, denominator_exponent)
 
     def _check(self, other: "HilbertSeries") -> None:
         if self.denominator_exponent != other.denominator_exponent:
@@ -405,21 +403,24 @@ def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     most d - s rows.  W is trivial on Gr(s, L), so chi sums the Weyl product
     of (dual mu, lam) times the rank of S_{lam'/mu} W.  Each half of weight +
     rho strictly decreases, so the product is zero, and the pair skips its
-    skew rank, exactly when a shifted Q-entry equals a shifted R-entry.
+    skew rank, exactly when a shifted Q-entry equals a shifted R-entry.  A
+    pair also skips both when a column lam_i - mu'_i of lam'/mu is longer
+    than dim W, which makes the skew rank zero.
     """
-    s, quot, d = ctx.rank_sub, ctx.rank_quot, ctx.d
-    binom = [comb(ctx.dim_w, k) for k in range(ctx.n)]  # skew ranks read w + 1 - n <= k < n
-    qstar = []  # (mu', Q-weight, shifted Q-entries) for every mu in a (d - s) x s box
+    s, quot, d, w = ctx.rank_sub, ctx.rank_quot, ctx.d, ctx.dim_w
+    binom = [comb(w, k) for k in range(ctx.n)]  # skew ranks read w + 1 - n <= k < n
+    qstar = []  # (mu', mu' as s parts, Q-weight, shifted Q-entries) for every mu in a (d - s) x s box
     for mu in (mu for b in range(quot * s + 1) for mu in partitions_in_box(b, quot, s)):
-        alpha = dual_weight(mu.pad(quot))
-        qstar.append((mu.conjugate(), alpha, {v + d - 1 - j for j, v in enumerate(alpha)}))
+        alpha, mu_conj = dual_weight(mu.pad(quot)), mu.conjugate()
+        qstar.append((mu_conj, mu_conj.pad(s), alpha, {v + d - 1 - j for j, v in enumerate(alpha)}))
     coeffs = [0] * (ctx.xi_rank + 1)
     for q in range(ctx.xi_rank + 1):
         for lam in partitions_in_box(q, s, ctx.n - s):
             beta = lam.pad(s)
             shifted = {v + s - 1 - i for i, v in enumerate(beta)}
-            for mu_conj, alpha, taken in qstar:
-                if not shifted & taken:  # then mu lies in lam' (Macdonald, I.1.7)
+            for mu_conj, mu_parts, alpha, taken in qstar:
+                # no shared entry puts mu in lam' (Macdonald, I.1.7)
+                if not shifted & taken and max(map(sub, beta, mu_parts)) <= w:
                     chi = weyl_euler_characteristic(alpha + beta, d)
                     coeffs[q] += (-1) ** q * chi * _skew_rank(lam, mu_conj, binom)
     return HilbertSeries(tuple(coeffs), ctx.n * ctx.n)

@@ -34,7 +34,7 @@ sets no thread count, so a library caller keeps its own BLAS policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, isqrt, prod
@@ -248,17 +248,16 @@ def _minor_values(stacks: np.ndarray, table: list, p: int) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class FpMatrix:
+class FpMatrix(namedtuple("FpMatrix", "data p")):
     """Matrix over F_p with exact arithmetic."""
 
-    data: np.ndarray
-    p: int = P_DEFAULT
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, data: np.ndarray, p: int = P_DEFAULT):
         import numpy as np
-        _check_modulus(self.p)
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.int64) % self.p)
+        _check_modulus(p)
+        return super().__new__(cls, np.asarray(data, dtype=np.int64) % p, p)
 
     @property
     def shape(self):
@@ -271,26 +270,23 @@ class FpMatrix:
         return _gauss_jordan(self.data, self.p)[1]
 
 
-@dataclass(frozen=True)
-class KalmanPoint:
+class KalmanPoint(namedtuple("KalmanPoint", "d n phi p")):
     """An endomorphism in the basis adapted to the marked subspace L:
     the top-left d x d block acts on L, the bottom-left block is the
     obstruction to L-invariance.  phi may be a stack (..., n, n)."""
 
-    d: int
-    n: int
-    phi: np.ndarray
-    p: int = P_DEFAULT
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, d: int, n: int, phi: np.ndarray, p: int = P_DEFAULT):
         import numpy as np
-        _check_modulus(self.p)
-        phi = np.asarray(self.phi, dtype=np.int64)
-        if phi.shape[-2:] != (self.n, self.n):
+        _check_modulus(p)
+        phi = np.asarray(phi, dtype=np.int64)
+        if phi.shape[-2:] != (n, n):
             raise ValueError("phi must be n x n")
-        if not 1 <= self.d < self.n:
+        if not 1 <= d < n:
             raise ValueError("need 1 <= d < n")
-        object.__setattr__(self, "phi", phi % self.p)
+        return super().__new__(cls, d, n, phi % p, p)
 
     @property
     def alpha(self) -> np.ndarray:

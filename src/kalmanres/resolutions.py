@@ -12,8 +12,7 @@ cone is (ambient - spec) plus (quotient - spec) moved one index down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bott import GrassmannianContext
 from .geometric import (
@@ -246,8 +245,7 @@ def kalman_equations_d3(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     d: int
     n: int
     prediction: HilbertSeries

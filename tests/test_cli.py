@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import os
@@ -33,7 +32,7 @@ def perturbed_table_s1(d, n):
 def with_residual(d, n):
     """The conjecture report of (d, n) with its prediction as a nonzero residual."""
     report = conjecture_consistency(d, n)
-    return dataclasses.replace(report, residual=report.prediction)
+    return report._replace(residual=report.prediction)
 
 
 def zero_series(ctx):
@@ -464,12 +463,15 @@ class TestVerdict:
 # Runs CLI calls in one fresh interpreter: the calls' stdout goes to stdout,
 # and the last stderr line is a JSON object.  Its "calls" is a list of [call,
 # exit code, whether numpy is loaded after it], led by ["import", None, ...]
-# for the bare imports; after the last call, "blas_env" is the process's
+# for the bare imports, and "imported" lists the modules those imports
+# loaded; after the last call, "blas_env" is the process's
 # OPENBLAS_NUM_THREADS and "threads" its thread count (None without
 # /proc/self/task).
 _STARTUP_PROBE = """
 import json, os, sys
+before = set(sys.modules)
 import kalmanres, kalmanres.cli
+imported = sorted(set(sys.modules) - before)
 report = [["import", None, "numpy" in sys.modules]]
 for call in json.loads(sys.argv[1]):
     code = kalmanres.cli.main(call.split())
@@ -477,6 +479,7 @@ for call in json.loads(sys.argv[1]):
 tasks = "/proc/self/task"
 print(json.dumps({
     "calls": report,
+    "imported": imported,
     "blas_env": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
 }), file=sys.stderr)
@@ -528,6 +531,14 @@ class TestStartup:
         report = probe["calls"]
         assert [row[0] for row in report] == ["import"] + calls
         assert [row for row in report if row[1] not in (None, OK) or row[2]] == []
+
+    def test_the_import_loads_no_introspection_modules_and_no_numpy(self):
+        # dataclasses alone loads inspect, ast, dis and tokenize; a module a
+        # site hook loaded before the import is not counted
+        _, probe = run_fresh([])
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"}
+        assert "kalmanres.cli" in probe["imported"]
+        assert heavy.intersection(probe["imported"]) == set()
 
     def test_fp_subcommand_loads_numpy_with_unchanged_output(self):
         stdout, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"])

@@ -504,6 +504,30 @@ class TestEulerRoute:
                         got = _skew_rank(kappa.conjugate(), mu.conjugate(), binom)
                         assert got == skew_schur_rank(kappa, mu, w), (kappa, mu, w)
 
+    @pytest.mark.parametrize("ctx", [GrassmannianContext(5, 10, 11), GrassmannianContext(4, 7, 9)])
+    def test_no_skew_rank_of_a_column_longer_than_w(self, monkeypatch, ctx):
+        # a column lam_i - mu'_i of lam'/mu longer than dim W makes the skew
+        # rank 0, so the route skips the pair before its determinant
+        expected = hilbert_series(resolution_terms(ctx))
+        shapes = []
+
+        def recording(lam, mu_conj, binom):
+            shapes.append((lam, mu_conj))
+            return _skew_rank(lam, mu_conj, binom)
+
+        monkeypatch.setattr(geometric, "_skew_rank", recording)
+        hilbert_series_normalization.cache_clear()
+        try:
+            assert hilbert_series_normalization(ctx) == expected
+        finally:
+            hilbert_series_normalization.cache_clear()
+        too_long = [
+            (lam, mu_conj)
+            for lam, mu_conj in shapes
+            if any(v - mu_conj.part(i) > ctx.dim_w for i, v in enumerate(lam))
+        ]
+        assert shapes and too_long == []
+
 
 class TestWeylEuler:
     def test_frozen_values(self):
