@@ -6,9 +6,12 @@ gamma*alpha; ...; gamma*alpha^{d-1}) whose minor vanishing cuts out the
 variety, sample points on and off it, measure the Jacobian rank of the
 minors, and estimate the minor ideal's Hilbert function by evaluation in
 A_0 = k[alpha, gamma], the ring of the minors, one rank per weight of the
-diagonal torus up to the Levi's Weyl group: the Levi GL(L) x GL(V/L) maps
-the stack M to (I x B) M A^-1 and keeps A_0, so it keeps each I_k in A_0,
-and S_d x S_{n-d} permutes the weight blocks, their sizes and ranks.
+diagonal torus up to the Levi's Weyl group.  Under phi -> t phi t^-1, t =
+diag(t_1, ..., t_n), x_ab = phi[a, b] weighs e_a - e_b and a product the sum
+of its factors' weights, so a minor of the stack M adds e_{d + r mod (n-d)}
+per row r (row d + r mod (n-d) of phi times alpha^j) and -e_c per column c.
+The Levi GL(L) x GL(V/L) maps M to (I x B) M A^-1, so it keeps A_0 and each
+I_k in it, and S_d x S_{n-d} permutes the weight blocks, sizes and ranks.
 
 Elimination over F_p has two kernels, and the input's shape selects one: a
 single matrix goes through the blocked _echelon (panels of BLOCK = 64
@@ -34,7 +37,7 @@ sets no thread count, so a library caller keeps its own BLAS policy.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, isqrt, prod
@@ -399,23 +402,15 @@ HF_REPEATS = 2  # independent point sets per degree; the max rank is kept
 HF_BUDGET = 1_000_000  # most minors in the table, and most row entries in one degree
 
 
-def _row_weights(d: int, n: int, rows: np.ndarray, cols: np.ndarray, monos: np.ndarray) -> np.ndarray:
-    """Torus weights of evaluation rows, one weight vector in Z^n per row.
-
-    A row is the minor of the stack on rows x cols times the monomial in the
-    variables monos of A_0: index a d + b is x_ab = phi[a, b] (b < d), index
-    n d the constant 1.  Shapes broadcast: (M, 1, size) minors and (C, j)
-    monomials give the (M, C, n) weights of all M x C rows.
-    t = diag(t_1, ..., t_n) acts by phi -> t phi t^-1, which preserves L,
-    and a row f satisfies f(t phi t^-1) = t^w f(phi): x_ab has weight
-    e_a - e_b, so entry (a, b) of gamma alpha^j, a sum of x_{d+a,c_1}
-    x_{c_1,c_2} ... x_{c_j,b}, has weight e_{d+a} - e_b.  Stack row r is row
-    r mod (n-d) of its block, and a product's weight is the sum of its
-    factors' weights."""
+def _weight_tables(d: int, n: int, rows: np.ndarray, cols: np.ndarray):
+    """(minor_w, var_w): the torus weights in Z^n (module docstring) of the
+    minors on rows x cols, one per row of those arrays, and of the variables
+    of A_0: index a d + b is x_ab = phi[a, b] (b < d), index n d the constant."""
     import numpy as np
-    eye = np.eye(n + 1, n, dtype=np.int64)  # row n is zero, the weight of the constant
-    a, b = np.divmod(monos, d)  # the constant n d gives a = n
-    return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2) + eye[a].sum(-2) - eye[np.where(a < n, b, n)].sum(-2)
+    eye = np.eye(n, dtype=np.int64)
+    a, b = np.divmod(np.arange(n * d), d)
+    var_w = np.vstack([eye[a] - eye[b], np.zeros((1, n), dtype=np.int64)])  # the constant weighs 0
+    return eye[d + rows % (n - d)].sum(-2) - eye[cols].sum(-2), var_w
 
 
 def _arrangements(w: list) -> int:
@@ -432,10 +427,10 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     span of the R_j = sum_e M_e C(n d + j - e - 1, j - e) rows (minor x
     complementary monomial in A_0) of degree j, M_e the minors of degree e.
 
-    Every row is a weight vector of the diagonal torus (_row_weights), and
-    vectors of distinct weights are linearly independent, so dim I'_j is the
-    sum over weights of the rank of the rows of that weight.  The Levi keeps
-    I' (module docstring), so only the dominant blocks, whose weights weakly
+    Every row is a weight vector of the torus (_weight_tables), and vectors
+    of distinct weights are linearly independent, so dim I'_j is the sum over
+    weights of the rank of the rows of that weight.  The Levi keeps I'
+    (module docstring), so only the dominant blocks, whose weights weakly
     decrease on [0, d) and on [d, n), are kept and ranked, each rank counted
     once per weight of its S_d x S_{n-d} orbit.  With D = C(n d + j - 1, j),
     each degree and repeat draws min(largest block, D) + HF_MARGIN points
@@ -455,11 +450,11 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     one-sidedness needs the grading to be right: rows put in different
     blocks by a wrong weight would have a common span counted twice.
 
-    Refuses (BudgetExceededError) before _minor_table if its table has over
-    HF_BUDGET minors, and before any row if a degree j <= k_max has over
-    HF_BUDGET row entries (n + j) R_j: a weight in Z^n and j variables each.
-    Below the least minor degree there is no row and no table is built; else
-    one table serves every degree and point set (_minor_values).
+    Refuses (BudgetExceededError) before _minor_table if it has over
+    HF_BUDGET minors, or if a degree j <= k_max has over HF_BUDGET row
+    entries (n + j) R_j, a weight in Z^n and j variables each.  Below the
+    least minor degree there is no row and no table is built; else one
+    table serves every degree and point set (_minor_values).
     """
     import numpy as np
     _check_modulus(p)
@@ -472,17 +467,25 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     count = sum(comb(height, j) * comb(d - size + j, j) for j in range(1, size + 1))
     if count > HF_BUDGET:
         raise BudgetExceededError(f"minor count of the {size}-minor table of the {height} x {d} stack", count, HF_BUDGET)
-    # a minor on stack rows r has degree sum (r // (n - d) + 1), least on rows 0..size-1
-    if k_max < sum(r // (n - d) + 1 for r in range(size)):
+    # M_e: the size-sets of stack rows of degree sum e (row r has degree
+    # r // (n - d) + 1), ways[size][e], times the C(d, size) column sets
+    ways = [Counter({0: comb(d, size)})] + [Counter() for _ in range(size)]
+    for row in range(height):
+        for r in range(size, 0, -1):
+            for e, w in ways[r - 1].items():
+                ways[r][e + row // (n - d) + 1] += w
+    minors = dict(sorted(ways[size].items()))
+    if k_max < min(minors):
         return [comb(n * n + k - 1, k) for k in range(k_max + 1)]  # no minor, no row: all of A
+    for k in range(k_max + 1):
+        count = sum(m * comb(nd + k - e - 1, k - e) for e, m in minors.items() if e <= k)
+        if (n + k) * count > HF_BUDGET:
+            raise BudgetExceededError(f"degree-{k} row entries {count} x ({n} + {k})", (n + k) * count, HF_BUDGET)
     table = _minor_table(height, d, size)
     minor_rows, minor_cols, _ = table[-1]
     degrees = (minor_rows // (n - d) + 1).sum(1)
-    by_degree = {e: np.flatnonzero(degrees == e) for e in sorted(set(degrees.tolist()))}
-    for k in range(k_max + 1):
-        count = sum(len(g) * comb(nd + k - e - 1, k - e) for e, g in by_degree.items() if e <= k)
-        if (n + k) * count > HF_BUDGET:
-            raise BudgetExceededError(f"degree-{k} row entries {count} x ({n} + {k})", (n + k) * count, HF_BUDGET)
+    by_degree = {e: np.flatnonzero(degrees == e) for e in minors}
+    minor_w, var_w = _weight_tables(d, n, minor_rows, minor_cols)
     rng = SplitMix64(seed)
     hf0, prev_dim = [], 0  # HF_{A_0/I'}, and dim I'_{k-1}
     for k in range(k_max + 1):
@@ -492,7 +495,7 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
         parts = []
         for e, g in [(e, g) for e, g in by_degree.items() if e <= k]:
             pad = np.array([m + (nd,) * e for m in combinations_with_replacement(range(nd), k - e)], dtype=np.int64)
-            weights = _row_weights(d, n, minor_rows[g, None], minor_cols[g, None], pad)
+            weights = minor_w[g, None] + var_w[pad].sum(-2)
             # one block per S_d x S_{n-d} orbit: its weight weakly decreases on [0, d) and [d, n)
             dominant = (np.diff(weights[..., :d]) <= 0).all(-1) & (np.diff(weights[..., d:]) <= 0).all(-1)
             at, mono = np.nonzero(dominant)

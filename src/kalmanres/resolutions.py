@@ -252,10 +252,6 @@ class ConjectureReport(NamedTuple):
     residual: Optional[HilbertSeries]
     telescope_ok: Optional[bool]
 
-    @property
-    def consistent(self) -> bool:
-        return self.residual is not None and self.residual.is_zero
-
 
 def predicted_hilbert_series(d: int, n: int) -> HilbertSeries:
     """Alternating sum over s = 1..d of the conjectured exact sequence's

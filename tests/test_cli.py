@@ -122,6 +122,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "refused:" in err and "1353601" in err and "1000000" in err
 
+    def test_row_refusal_builds_no_table(self, capsys, monkeypatch):
+        # (1, 3, 60) passes the minor gate with 833511 minors, but degree 3
+        # has 29260 rows of 60 + 3 entries: the minors are counted by degree
+        # without the table, so the gate refuses before _minor_table runs
+        def refuse(*args):
+            raise AssertionError("_minor_table called")
+
+        monkeypatch.setattr(kalman, "_minor_table", refuse)
+        code = main(["hf", "--s", "1", "--d", "3", "--n", "60", "--kmax", "3"])
+        assert code == REFUSED
+        err = capsys.readouterr().err
+        assert err.strip() == "refused: degree-3 row entries 29260 x (60 + 3) = 1843380 exceeds budget 1000000"
+
     def test_below_the_least_minor_degree_builds_no_table(self, capsys, monkeypatch):
         # (1, 3, 60) passes the gate with 833511 minors, but every 3-minor
         # has degree >= 3: through degree 1 no row exists, so none is built

@@ -21,7 +21,7 @@ from kalmanres.kalman import (
     _matmul_mod,
     _minor_table,
     _minor_values,
-    _row_weights,
+    _weight_tables,
     jacobian_codim,
     minors_vanish,
     numeric_hilbert_function,
@@ -43,6 +43,7 @@ from property_checks import (
     sample_member_oracle,
     splitmix64_draws,
     stack_minors,
+    torus_weight,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
@@ -481,7 +482,8 @@ class TestNumericHilbertFunction:
                 continue
             idx = np.array([i for i, _ in specs])
             monos = np.array([mono for _, mono in specs])
-            weights = _row_weights(d, n, rows[idx], cols[idx], monos)
+            minor_w, var_w = _weight_tables(d, n, rows, cols)
+            weights = minor_w[idx] + var_w[monos].sum(-2)
             blocks = {}
             for r, w in enumerate(map(tuple, weights.tolist())):
                 blocks.setdefault(w, []).append(r)
@@ -563,7 +565,8 @@ class TestNumericHilbertFunction:
         nd = n * d
         idx = np.repeat(np.arange(len(minors)), nd + 1)
         monos = np.tile(np.arange(nd + 1), len(minors))[:, None]
-        weights = _row_weights(d, n, rows[idx], cols[idx], monos)
+        minor_w, var_w = _weight_tables(d, n, rows, cols)
+        weights = minor_w[idx] + var_w[monos].sum(-2)
 
         def values(phi):
             stack = reduced_kalman_matrix(KalmanPoint(d, n, phi, p)).data
@@ -583,6 +586,41 @@ class TestNumericHilbertFunction:
 
         scale = np.array([t_power(w) for w in weights])
         assert (values(phi) * scale % p == values(conj)).all()
+
+    @pytest.mark.parametrize("s,d,n", cases(5))
+    def test_weight_tables_match_the_oracle(self, s, d, n):
+        # every minor of the library's table, every variable x_ab of A_0
+        # (oracle index a n + b) and the constant (oracle index n^2) weighs
+        # what torus_weight says
+        rows, cols, _ = _minor_table(d * (n - d), d, d - s + 1)[-1]
+        minor_w, var_w = _weight_tables(d, n, rows, cols)
+        assert [tuple(w) for w in minor_w.tolist()] == [
+            torus_weight(d, n, r, c, ()) for r, c in zip(rows.tolist(), cols.tolist())
+        ]
+        variables = [a * n + b for a in range(n) for b in range(d)] + [n * n]
+        assert [tuple(w) for w in var_w.tolist()] == [torus_weight(d, n, (), (), (v,)) for v in variables]
+
+    @pytest.mark.parametrize("s,d,n", cases(6))
+    def test_row_gate_counts_minors_without_the_table(self, s, d, n, monkeypatch):
+        # the row-entry gate counts the minors of each degree before any
+        # table: with the budget one below the oracle's entries (n + k) R_k
+        # at the first degree k whose entries exceed the table's size, it
+        # refuses at k with that count and never calls _minor_table
+        size, minors = d - s + 1, stack_minors(s, d, n)
+        table = sum(len(at) for at, _, _ in _minor_table(d * (n - d), d, size))
+        k, entries = -1, 0
+        while entries <= table:
+            k += 1
+            entries = (n + k) * sum(comb(n * d + k - e - 1, k - e) for _, _, e in minors if e <= k)
+
+        def refuse(*args):
+            raise AssertionError("_minor_table called")
+
+        monkeypatch.setattr(kalman, "_minor_table", refuse)
+        monkeypatch.setattr(kalman, "HF_BUDGET", entries - 1)
+        with pytest.raises(BudgetExceededError) as exc:
+            numeric_hilbert_function(s, d, n, k, seed=0)
+        assert exc.value.count == entries and f"degree-{k} " in str(exc.value)
 
     def test_budget_refusal(self):
         # (2, 4, 7) has 305576 rows at degree 7: a weight in Z^7 and a

@@ -399,7 +399,7 @@ class TestD2Pipeline:
     def test_n3_cubic_hypersurface(self):
         # at n = 3 the ideal is one cubic, det[gamma; gamma alpha] = 0
         assert list(kalman_table_d2(3).entries()) == [(0, 0, (), (), 1), (1, 3, (1, 1), (2,), 1)]
-        assert conjecture_consistency(2, 3).consistent
+        assert conjecture_consistency(2, 3).residual.is_zero
 
     def test_n3_series_matches_the_evaluation_oracle(self):
         from kalmanres.kalman import numeric_hilbert_function
@@ -538,21 +538,19 @@ class TestConjecture:
 
     def test_consistency_d1(self):
         report = conjecture_consistency(1, 4)
-        assert report.consistent
         assert report.residual.is_zero
 
     def test_consistency_d2_d3(self):
         for d in (2, 3):
             for n in (4, 5, 6, 7):
                 report = conjecture_consistency(d, n)
-                assert report.consistent, (d, n)
+                assert report.residual.is_zero, (d, n)
                 assert report.telescope_ok is None
 
     def test_telescope_replay_for_large_d(self):
         for d in (4, 5):
             report = conjecture_consistency(d, d + 1)
-            assert report.residual is None
-            assert not report.consistent  # no proven route; prediction only
+            assert report.residual is None  # no proven route; prediction only
             assert report.telescope_ok is True
 
     def test_replay_equals_prediction(self):
