@@ -15,7 +15,6 @@ first.  The two routes must agree exactly; `hilbert` and the tests check it.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
 from math import comb
 from operator import sub
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -393,7 +392,6 @@ def _skew_rank(lam: Partition, mu_conj: Partition, binom: list) -> int:
     return _det([[binom[v - i - b] for b in cols] for i, v in enumerate(lam)])
 
 
-@lru_cache(maxsize=None)
 def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     """Hilbert series of the normalization, sum_q (-t)^q chi(wedge^q xi), with
     no LR, Bott or hook-content step; it must equal the table route's.
@@ -405,7 +403,8 @@ def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     rho strictly decreases, so the product is zero, and the pair skips its
     skew rank, exactly when a shifted Q-entry equals a shifted R-entry.  A
     pair also skips both when a column lam_i - mu'_i of lam'/mu is longer
-    than dim W, which makes the skew rank zero.
+    than dim W, which makes the skew rank zero.  Nothing is cached: each call
+    computes the series, and a caller that reuses one keeps it.
     """
     s, quot, d, w = ctx.rank_sub, ctx.rank_quot, ctx.d, ctx.dim_w
     binom = [comb(w, k) for k in range(ctx.n)]  # skew ranks read w + 1 - n <= k < n

@@ -443,11 +443,7 @@ class TestVerdict:
         # many on every c >= 2 reaches the table route alone
         count = schur.lr_coefficient
         monkeypatch.setattr(schur, "lr_coefficient", lambda *args: count(*args) + (count(*args) >= 2))
-        hilbert_series_normalization.cache_clear()
-        try:
-            assert main(["hilbert", "--s", "3", "--d", "5", "--n", "8"]) == MISMATCH
-        finally:
-            hilbert_series_normalization.cache_clear()
+        assert main(["hilbert", "--s", "3", "--d", "5", "--n", "8"]) == MISMATCH
 
     def test_every_reference_puts_the_status_there(self):
         for path in sorted((ROOT / "bench" / "reference").glob("*.stdout")):
@@ -552,6 +548,26 @@ class TestStartup:
         heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"}
         assert "kalmanres.cli" in probe["imported"]
         assert heavy.intersection(probe["imported"]) == set()
+
+    def test_python_m_runs_main_with_its_exit_codes(self):
+        # `python -m kalmanres.cli` reaches main through the module's own
+        # entry point; -W error makes a runpy warning on the import fail it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        reference = (ROOT / "bench" / "reference" / "verify_prop_2_2.stdout").read_bytes()
+        calls = [
+            ("verify prop-2-2 --json", OK, reference),
+            ("hf --s 0 --d 2 --n 4 --kmax 1", USAGE, b""),
+            ("hf --s 1 --d 3 --n 60 --kmax 3", REFUSED, b""),
+        ]
+        for call, code, stdout in calls:
+            child = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "kalmanres.cli", *call.split()],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert (child.returncode, child.stdout) == (code, stdout), (call, child.stderr.decode())
 
     def test_fp_subcommand_loads_numpy_with_unchanged_output(self):
         stdout, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"])

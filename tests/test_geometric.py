@@ -464,12 +464,18 @@ class TestEulerRoute:
             (BOTT, "vanishing_test"),
         ]:
             monkeypatch.setattr(owner, name, refuse)
-        hilbert_series_normalization.cache_clear()
-        try:
-            for ctx in self.CONTEXTS:
-                assert hilbert_series_normalization(ctx) == expected[ctx], ctx
-        finally:
-            hilbert_series_normalization.cache_clear()
+        for ctx in self.CONTEXTS:
+            assert hilbert_series_normalization(ctx) == expected[ctx], ctx
+
+    def test_holds_no_state_between_calls(self, monkeypatch):
+        # a series computed under a patched skew rank must not outlive the
+        # patch, and one computed before it must not hide the patch
+        ctx = GrassmannianContext(2, 3, 5)
+        expected = hilbert_series(resolution_terms(ctx))
+        monkeypatch.setattr(geometric, "_skew_rank", lambda *args: 0)
+        assert hilbert_series_normalization(ctx) != expected
+        monkeypatch.undo()
+        assert hilbert_series_normalization(ctx) == expected
 
     def test_determinant_equals_leibniz(self):
         rng = random.Random(0)
@@ -516,11 +522,7 @@ class TestEulerRoute:
             return _skew_rank(lam, mu_conj, binom)
 
         monkeypatch.setattr(geometric, "_skew_rank", recording)
-        hilbert_series_normalization.cache_clear()
-        try:
-            assert hilbert_series_normalization(ctx) == expected
-        finally:
-            hilbert_series_normalization.cache_clear()
+        assert hilbert_series_normalization(ctx) == expected
         too_long = [
             (lam, mu_conj)
             for lam, mu_conj in shapes
