@@ -8,10 +8,15 @@ characteristics on the Grassmannian, skipping the Betti table entirely.
 The two routes share no LR, Bott or hook-content step.  The table route
 decomposes the exterior powers of the bundle by Cauchy and
 Littlewood-Richardson, then runs Bott's algorithm and hook-content ranks.
-The Euler route splits each exterior power by Cauchy over Q* + W and sums
-Weyl dimension products times the ranks of skew Schur functors of W, each
-a determinant of binomials (dual Jacobi-Trudi).  Agreement checks the LR
-counts, Bott's repeat test and algorithm, and the ranks.
+The Euler route splits each exterior power by Cauchy over Q* + W and takes
+one d x d determinant per partition lam of the R-factor.  Its first d - s
+rows carry the Weyl products, its last s rows binomials C(dim W, r_j - a),
+and its Laplace expansion sums the Weyl dimension products times the ranks
+of skew Schur functors of W (dual Jacobi-Trudi).  With r = lam + rho of
+GL(s), V the Vandermonde product and D = V(d-1, ..., 0), lam adds
+(-1)^(|lam| + (d-s)(d-s-1)/2) V(r) det / D; D divides it because every
+Weyl product is an integer.  Agreement checks the LR counts, Bott's repeat
+test and algorithm, and the ranks.
 """
 
 from kalmanres import (

@@ -22,7 +22,6 @@ from .geometric import (
     hilbert_series,
     hilbert_series_normalization,
     resolution_terms,
-    weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
 from .kalman import (
@@ -114,6 +113,5 @@ __all__ = [
     "table_s1",
     "table_s2_d3",
     "table_w_line",
-    "weyl_euler_characteristic",
     "xi_exterior_decomposition",
 ]

@@ -7,21 +7,21 @@ normalization: a summand of wedge^q(xi) with cohomology in degree j lands in
 homological index i = q - j and internal degree e = q.
 
 Hilbert series are computed twice, by design: once from the assembled table
-(LR products, Bott degrees, hook-content ranks) and once as an Euler
-characteristic from Cauchy, Weyl products and skew ranks, with no step of the
-first.  The two routes must agree exactly; `hilbert` and the tests check it.
+(LR products, Bott degrees, hook-content ranks) and once, with no step of the
+first, as a sum over lam of (-1)^(|lam| + (d-s)(d-s-1)/2) V(lam + rho) det(M) / D,
+where det(M) sums Weyl products times D / V(lam + rho), so D divides it.  The
+two routes must agree exactly; `hilbert` and the tests check it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from math import comb
-from operator import sub
+from math import comb, prod
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import schur
 from .bott import GrassmannianContext, cohomology_of_summand, vanishing_test
-from .partitions import Partition, Weight, dual_weight, partitions_in_box, schur_rank
+from .partitions import Partition, partitions_in_box, schur_rank
 
 
 class XiSummand(NamedTuple):
@@ -347,25 +347,6 @@ def hilbert_series(table: BettiTable) -> HilbertSeries:
     return HilbertSeries(tuple(coeffs.get(e, 0) for e in range(max(coeffs, default=-1) + 1)), n * n)
 
 
-def weyl_euler_characteristic(weight: Weight, d: int) -> int:
-    """Signed Euler characteristic dimension of the weight-nu bundle on the
-    flag of GL(d): product over i<j of (u_i - u_j)/(j - i) with u = nu + rho.
-    Zero exactly on repeats; no sorting involved."""
-    if len(weight) != d:
-        raise ValueError(f"weight length {len(weight)} != {d}")
-    u = [w + r for w, r in zip(weight, range(d - 1, -1, -1))]
-    num = 1
-    den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= u[i] - u[j]
-            den *= j - i
-    q, r = divmod(num, den)
-    if r:
-        raise RuntimeError(f"Weyl product {num}/{den} is not an integer for {weight}")
-    return q
-
-
 def _det(matrix: list) -> int:
     """Determinant of a square integer matrix, a list of rows left as it is:
     fraction-free (Bareiss) elimination with row swaps, exact in Python ints."""
@@ -384,42 +365,37 @@ def _det(matrix: list) -> int:
     return sign * prev
 
 
-def _skew_rank(lam: Partition, mu_conj: Partition, binom: list) -> int:
-    """Rank of S_{lam'/mu}(C^w) for mu in lam': by dual Jacobi-Trudi (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.5), det C(w, lam_i - mu'_j - i + j)
-    over i, j < len(lam), with C(w, k) read as binom[k], negative k included."""
-    cols = [mu_conj.part(j) - j for j in range(len(lam))]
-    return _det([[binom[v - i - b] for b in cols] for i, v in enumerate(lam)])
-
-
 def hilbert_series_normalization(ctx: GrassmannianContext) -> HilbertSeries:
     """Hilbert series of the normalization, sum_q (-t)^q chi(wedge^q xi), with
     no LR, Bott or hook-content step; it must equal the table route's.
 
-    Cauchy over F = Q* + W: wedge^q(R (x) F) = sum of S_lam R (x) S_mu Q* (x)
-    S_{lam'/mu} W over lam |- q in an s x (n - s) box and mu in lam' of at
-    most d - s rows.  W is trivial on Gr(s, L), so chi sums the Weyl product
-    of (dual mu, lam) times the rank of S_{lam'/mu} W.  Each half of weight +
-    rho strictly decreases, so the product is zero, and the pair skips its
-    skew rank, exactly when a shifted Q-entry equals a shifted R-entry.  A
-    pair also skips both when a column lam_i - mu'_i of lam'/mu is longer
-    than dim W, which makes the skew rank zero.  Nothing is cached: each call
-    computes the series, and a caller that reuses one keeps it.
+    By Cauchy, chi sums over lam |- q in an s x (n - s) box and mu in lam' the
+    Weyl product of (dual mu, lam) times the rank of S_{lam'/mu} W.  For each
+    lam that is the Laplace expansion, along its first d - s rows, of a d x d
+    matrix M with columns a = d - 1, ..., 0 at c = 0, ..., d - 1: rows
+    (-1)^c a^k f(a) for k = d - s - 1, ..., 0, f(a) = prod_i (a - r_i) with
+    r_i = lam_i + s - 1 - i, then rows C(w, r_j - a), 0 outside 0..w.  The top
+    minor on the shifted Q-entries of mu, times V(r) / D, V(x) = prod_{i<j}
+    (x_i - x_j) and D = V(d - 1, ..., 0), is the Weyl product; its complement
+    is the skew rank by dual Jacobi-Trudi (Macdonald, I.1.7 and I.5).  So lam
+    adds (-1)^(q + (d-s)(d-s-1)/2) V(r) det(M) / D to t^q (the column signs
+    cancel the expansion's), and D divides it as Weyl products are integers.
+    f vanishes where entries meet and C(w, k) at k > w, so no pair needs a
+    test; nothing is cached.
     """
     s, quot, d, w = ctx.rank_sub, ctx.rank_quot, ctx.d, ctx.dim_w
-    binom = [comb(w, k) for k in range(ctx.n)]  # skew ranks read w + 1 - n <= k < n
-    qstar = []  # (mu', mu' as s parts, Q-weight, shifted Q-entries) for every mu in a (d - s) x s box
-    for mu in (mu for b in range(quot * s + 1) for mu in partitions_in_box(b, quot, s)):
-        alpha, mu_conj = dual_weight(mu.pad(quot)), mu.conjugate()
-        qstar.append((mu_conj, mu_conj.pad(s), alpha, {v + d - 1 - j for j, v in enumerate(alpha)}))
+    cols = range(d - 1, -1, -1)
+    den = prod(j - i for j in range(d) for i in range(j))
     coeffs = [0] * (ctx.xi_rank + 1)
     for q in range(ctx.xi_rank + 1):
         for lam in partitions_in_box(q, s, ctx.n - s):
-            beta = lam.pad(s)
-            shifted = {v + s - 1 - i for i, v in enumerate(beta)}
-            for mu_conj, mu_parts, alpha, taken in qstar:
-                # no shared entry puts mu in lam' (Macdonald, I.1.7)
-                if not shifted & taken and max(map(sub, beta, mu_parts)) <= w:
-                    chi = weyl_euler_characteristic(alpha + beta, d)
-                    coeffs[q] += (-1) ** q * chi * _skew_rank(lam, mu_conj, binom)
+            r = [v + s - 1 - i for i, v in enumerate(lam.pad(s))]
+            f = [(-1) ** c * prod(a - x for x in r) for c, a in enumerate(cols)]
+            m = [[y * a ** k for a, y in zip(cols, f)] for k in range(quot - 1, -1, -1)]
+            m += [[comb(w, x - a) if x >= a else 0 for a in cols] for x in r]
+            v = prod(x - y for i, x in enumerate(r) for y in r[i + 1 :])
+            chi, rest = divmod((-1) ** (q + quot * (quot - 1) // 2) * v * _det(m), den)
+            if rest:
+                raise RuntimeError(f"{v} det(M) / {den} is not an integer for {lam} over {ctx}")
+            coeffs[q] += chi
     return HilbertSeries(tuple(coeffs), ctx.n * ctx.n)

@@ -8,12 +8,15 @@ lr_coefficient_cells, the cell-by-cell LR backtracker, which shares no code
 with the flat kernel that replaced it and checks it on every small triple;
 the two Hilbert-series routes before their vanishing pre-tests, which
 run every summand of the complete Cauchy + LR decomposition through Bott and
-the Weyl product (the second is the LR-based oracle for the Euler route); the Koszul table that filters unbounded LR products by length; the
-three cancellation specs of the d = 2 and d = 3 cones, listed by hand before
-each cone derived its own; the downward replay of the inductive sequence in
-the n = d+1 corner; and the graded F_p Hilbert function that ranks every
-weight block, not one per Weyl orbit, here on this file's own determinant,
-elimination, minor index sets and torus weights.
+the Weyl product (the second is the LR-based oracle for the Euler route,
+and weyl_euler_characteristic, the Weyl product it takes, left the library
+when that route became one determinant per partition); the Koszul table
+that filters unbounded LR products by length; the three cancellation specs
+of the d = 2 and d = 3 cones, listed by hand before each cone derived its
+own; the downward replay of the inductive sequence in the n = d+1 corner;
+and the graded F_p Hilbert function that ranks every weight block, not one
+per Weyl orbit, here on this file's own determinant, elimination, minor
+index sets and torus weights.
 """
 
 from collections import Counter
@@ -25,7 +28,6 @@ from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
     hilbert_series,
-    weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
 from kalmanres.partitions import (
@@ -279,7 +281,7 @@ def lr_coefficient_cells(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total
 
 
-# -- integer determinants and skew Schur ranks --------------------------------
+# -- integer determinants ------------------------------------------------------
 
 
 def leibniz_det(a) -> int:
@@ -291,17 +293,6 @@ def leibniz_det(a) -> int:
             term *= a[i][j]
         total += term
     return total
-
-
-def skew_schur_rank(kappa, mu, w) -> int:
-    """Rank of S_{kappa/mu}(C^w) for mu in kappa: sum over nu of
-    c^kappa_{mu,nu} times the number of SSYT of shape nu in 1..w."""
-    kappa, mu = Partition(kappa), Partition(mu)
-    return sum(
-        c * ssyt_count(nu, w)
-        for nu in partitions_in_box(sum(kappa) - sum(mu), len(kappa), kappa.part(0))
-        if (c := lr_coefficient_cells(mu, nu, kappa))
-    )
 
 
 # -- the two Hilbert-series routes without vanishing pre-tests -----------------
@@ -430,6 +421,25 @@ def weyl_dimension(weight):
             out *= Fraction(weight[i] - weight[j] + j - i, j - i)
     assert out.denominator == 1
     return int(out)
+
+
+def weyl_euler_characteristic(weight, d: int) -> int:
+    """Signed Euler characteristic dimension of the weight-nu bundle on the
+    flag of GL(d): product over i<j of (u_i - u_j)/(j - i) with u = nu + rho.
+    Zero exactly on repeats; no sorting involved."""
+    if len(weight) != d:
+        raise ValueError(f"weight length {len(weight)} != {d}")
+    u = [w + r for w, r in zip(weight, range(d - 1, -1, -1))]
+    num = 1
+    den = 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            num *= u[i] - u[j]
+            den *= j - i
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"Weyl product {num}/{den} is not an integer for {weight}")
+    return q
 
 
 # -- bott oracles ---------------------------------------------------------------

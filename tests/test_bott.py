@@ -8,7 +8,6 @@ from kalmanres.bott import (
     bott,
     cohomology_of_summand,
 )
-from kalmanres.geometric import weyl_euler_characteristic
 from kalmanres.partitions import (
     Partition,
     dual_weight,
@@ -17,7 +16,7 @@ from kalmanres.partitions import (
     schur_rank,
 )
 
-from property_checks import kempf_h0, weight_rank
+from property_checks import kempf_h0, weight_rank, weyl_euler_characteristic
 
 def decreasing_tuples(length, lo, hi):
     """All weakly decreasing integer tuples of the given length with entries

@@ -11,13 +11,11 @@ from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
     _det,
-    _skew_rank,
     XiSummand,
     cohomology_table,
     hilbert_series,
     hilbert_series_normalization,
     resolution_terms,
-    weyl_euler_characteristic,
     xi_exterior_decomposition,
 )
 from kalmanres.partitions import Partition, dual_weight, partitions_in_box, schur_rank
@@ -26,7 +24,7 @@ from property_checks import (
     cohomology_table_unfiltered,
     hilbert_series_normalization_unfiltered,
     leibniz_det,
-    skew_schur_rank,
+    weyl_euler_characteristic,
 )
 
 
@@ -468,21 +466,46 @@ class TestEulerRoute:
             assert hilbert_series_normalization(ctx) == expected[ctx], ctx
 
     def test_holds_no_state_between_calls(self, monkeypatch):
-        # a series computed under a patched skew rank must not outlive the
+        # a series computed under a patched determinant must not outlive the
         # patch, and one computed before it must not hide the patch
         ctx = GrassmannianContext(2, 3, 5)
         expected = hilbert_series(resolution_terms(ctx))
-        monkeypatch.setattr(geometric, "_skew_rank", lambda *args: 0)
+        monkeypatch.setattr(geometric, "_det", lambda *args: 0)
         assert hilbert_series_normalization(ctx) != expected
         monkeypatch.undo()
         assert hilbert_series_normalization(ctx) == expected
 
+    def test_one_determinant_per_partition(self, monkeypatch):
+        # the sum over mu is one Laplace expansion, so each lam in the
+        # s x (n - s) box, C(n, s) of them, costs one d x d determinant
+        sizes = []
+
+        def counting(matrix):
+            sizes.append(len(matrix))
+            return _det(matrix)
+
+        monkeypatch.setattr(geometric, "_det", counting)
+        for ctx in self.CONTEXTS:
+            sizes.clear()
+            hilbert_series_normalization(ctx)
+            assert sizes == [ctx.d] * comb(ctx.n, ctx.rank_sub), ctx
+
+    def test_an_inexact_division_raises(self, monkeypatch):
+        # at (2, 3, 5) lam = () has r = (1, 0), V(r) = 1 and D = 2, so a
+        # determinant of 1 leaves a remainder
+        monkeypatch.setattr(geometric, "_det", lambda matrix: 1)
+        with pytest.raises(RuntimeError, match="not an integer"):
+            hilbert_series_normalization(GrassmannianContext(2, 3, 5))
+
     def test_determinant_equals_leibniz(self):
+        # half the trials draw entries up to 10^12 in magnitude, the size of
+        # the route's Weyl-product rows
         rng = random.Random(0)
         seen = Counter()
         for size in range(7):
             for trial in range(40 if size < 6 else 12):
-                a = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+                bound = 10**12 if trial % 8 >= 4 else 4
+                a = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
                 if size and trial % 4 == 1:
                     a[0][0] = 0  # a zero leading pivot: the elimination swaps rows
                 if size > 1 and trial % 4 == 2:
@@ -496,39 +519,6 @@ class TestEulerRoute:
                 assert a == frozen  # the matrix is left as it is
                 seen["zero" if det == 0 else "nonzero"] += 1
         assert seen["zero"] > 60 and seen["nonzero"] > 60, seen
-
-    def test_skew_rank_equals_lr_times_tableau_count(self):
-        # rank S_{kappa/mu}(C^w) = sum_nu c^kappa_{mu,nu} #SSYT(nu, w) for every
-        # kappa in a 4 x 4 box, mu in kappa and w <= 4; the determinant reads
-        # C(w, k) at -7 <= k <= 7, a negative k at a zero past C(w, w)
-        box = [p for q in range(17) for p in partitions_in_box(q, 4, 4)]
-        for w in range(5):
-            binom = [comb(w, k) for k in range(16)]
-            for kappa in box:
-                for mu in box:
-                    if all(a >= b for a, b in zip(kappa.pad(4), mu.pad(4))):
-                        got = _skew_rank(kappa.conjugate(), mu.conjugate(), binom)
-                        assert got == skew_schur_rank(kappa, mu, w), (kappa, mu, w)
-
-    @pytest.mark.parametrize("ctx", [GrassmannianContext(5, 10, 11), GrassmannianContext(4, 7, 9)])
-    def test_no_skew_rank_of_a_column_longer_than_w(self, monkeypatch, ctx):
-        # a column lam_i - mu'_i of lam'/mu longer than dim W makes the skew
-        # rank 0, so the route skips the pair before its determinant
-        expected = hilbert_series(resolution_terms(ctx))
-        shapes = []
-
-        def recording(lam, mu_conj, binom):
-            shapes.append((lam, mu_conj))
-            return _skew_rank(lam, mu_conj, binom)
-
-        monkeypatch.setattr(geometric, "_skew_rank", recording)
-        assert hilbert_series_normalization(ctx) == expected
-        too_long = [
-            (lam, mu_conj)
-            for lam, mu_conj in shapes
-            if any(v - mu_conj.part(i) > ctx.dim_w for i, v in enumerate(lam))
-        ]
-        assert shapes and too_long == []
 
 
 class TestWeylEuler:
