@@ -20,7 +20,7 @@ Conventions (load-bearing, do not change silently):
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .partitions import Partition, Weight, dual_weight, is_weakly_decreasing
 
@@ -124,25 +124,3 @@ def cohomology_of_summand(
     beta = lam_r.pad(ctx.rank_sub)
     return bott(alpha, beta, ctx)
 
-
-def vanishing_test(mu_qstar: Partition, ctx: GrassmannianContext) -> Callable[[Partition], bool]:
-    """Bott's repeat test with Q* fixed: is cohomology_of_summand(lam, mu_qstar,
-    ctx) zero?  Each half of nu + rho strictly decreases, so a repeat is some
-    lam_i + s - 1 - i among the shifted Q-entries; the rows past len(lam) shift
-    to 0 .. s - 1 - len(lam), below the least nonnegative one exactly then."""
-    s = ctx.rank_sub
-    alpha = dual_weight(mu_qstar.pad(ctx.rank_quot))
-    taken = frozenset(v + r for v, r in zip(alpha, ctx.rho()))
-    low = min((t for t in taken if t >= 0), default=s)
-
-    def vanishes(lam: Partition) -> bool:
-        if low < s - len(lam):
-            return True
-        shift = s - 1
-        for v in lam:
-            if v + shift in taken:
-                return True
-            shift -= 1
-        return False
-
-    return vanishes

@@ -20,7 +20,7 @@ from math import comb, prod
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import schur
-from .bott import GrassmannianContext, cohomology_of_summand, vanishing_test
+from .bott import CohomologyResult, GrassmannianContext, cohomology_of_summand
 from .partitions import Partition, partitions_in_box, schur_rank
 
 
@@ -49,12 +49,14 @@ def xi_exterior_decomposition(
 
     wedge^q splits over the two blocks of xi; each block contributes a
     partition pair (lam, lam') resp. (mu, mu'), and the two R-side factors
-    are multiplied by Littlewood-Richardson.  Summands whose R-weight needs
-    more than s rows vanish, so the product never generates them.  The
-    invariant |lambda_r| = |mu_qstar| + |nu_w| holds for every summand.
+    are multiplied by Littlewood-Richardson: for each lam, every nu of
+    schur.lr_shapes (at most s rows, as more vanish) is read for each mu
+    within schur.lr_bound, so one tableau walk of nu/lam serves every mu.
+    Summands come lam first, then mu, then nu; |lambda_r| = |mu_qstar| +
+    |nu_w| for each.
 
-    vanishes(lam', ctx), if given, runs once per Q*-partition lam' and returns a
-    test of the R-partition nu that drops the summand before its LR count.
+    vanishes(lam', nu), if given, runs once per (Q*-partition, R-partition)
+    pair before any LR read of it, and drops the pair when it returns true.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -67,24 +69,31 @@ def xi_exterior_decomposition(
         mus = [(mu, mu.conjugate()) for mu in partitions_in_box(b, s, w)]
         for lam in partitions_in_box(a, s, quot):
             lam_conj = lam.conjugate()
-            drop = vanishes(lam_conj, ctx) if vanishes else None
-            for mu, mu_conj in mus:
-                for nu, c in schur.lr_product(lam, mu, s, skip=drop).items():
-                    out.append(XiSummand(nu, lam_conj, mu_conj, c))
+            by_mu: list[list[XiSummand]] = [[] for _ in mus]
+            for nu in schur.lr_shapes(lam, b, s, w):
+                if vanishes and vanishes(lam_conj, nu):
+                    continue
+                for (mu, mu_conj), summands in zip(mus, by_mu):
+                    if c := schur.lr_bound(lam, mu, nu) and schur.lr_coefficient(lam, mu, nu):
+                        summands.append(XiSummand(nu, lam_conj, mu_conj, c))
+            out += [summand for summands in by_mu for summand in summands]
     return out
 
 
-def cohomology_table(
-    ctx: GrassmannianContext, q: int
-) -> dict[int, Counter]:
+def cohomology_table(ctx: GrassmannianContext, q: int) -> dict[int, Counter]:
     """Cohomology of wedge^q(xi), as {degree j: Counter[(L-partition,
-    W-partition)] with multiplicities}.  Only nonzero degrees appear; Bott's
-    repeat test drops the vanishing summands before their LR count."""
+    W-partition)] with multiplicities}.  Only nonzero degrees appear.  Bott
+    runs once on each pair the sweep lists, before its LR reads, which it
+    skips when the cohomology vanishes; summands read it back from a dict."""
+    cohomology: dict[tuple, CohomologyResult] = {}
+
+    def vanishes(lam_conj: Partition, nu: Partition) -> bool:
+        res = cohomology[lam_conj, nu] = cohomology_of_summand(nu, lam_conj, ctx)
+        return res.is_zero
+
     table: dict[int, Counter] = {}
-    for summand in xi_exterior_decomposition(ctx, q, vanishes=vanishing_test):
-        res = cohomology_of_summand(summand.lambda_r, summand.mu_qstar, ctx)
-        if res.is_zero:
-            continue
+    for summand in xi_exterior_decomposition(ctx, q, vanishes=vanishes):
+        res = cohomology[summand.mu_qstar, summand.lambda_r]
         eta = Partition(res.weight)  # nonnegative here; raises otherwise
         table.setdefault(res.degree, Counter())[(eta, summand.nu_w)] += summand.mult
     return table

@@ -59,7 +59,8 @@ def _check_modulus(p: int) -> None:
     products of two residues and the float64 limb products of _matmul_mod
     are exact only below 2^31, and elimination needs every nonzero pivot
     to have an inverse, which holds only for prime p."""
-    if not 2 <= p < 1 << 31 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    import numpy as np
+    if not 2 <= p < 1 << 31 or not (p % np.arange(2, isqrt(p) + 1)).all():
         raise ValueError(f"modulus must be a prime p with 2 <= p < 2^31, got {p}")
 
 

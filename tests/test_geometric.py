@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from kalmanres import geometric, schur
-from kalmanres.bott import GrassmannianContext, cohomology_of_summand, vanishing_test
+from kalmanres.bott import GrassmannianContext, cohomology_of_summand
 from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
@@ -29,14 +29,6 @@ from property_checks import (
 
 
 BOTT = importlib.import_module("kalmanres.bott")  # the package's name bott is the function
-
-
-def candidates(lam, mu, rows):
-    """The nu that lr_product(lam, mu, rows) puts to its skip test; all are
-    skipped, so none is counted."""
-    seen = []
-    lr_product(lam, mu, rows, skip=lambda nu: seen.append(nu) or True)
-    return seen
 
 
 def small_contexts(max_d=4, max_n=9):
@@ -102,12 +94,12 @@ class TestVanishingPreTests:
 
     @staticmethod
     def assert_pre_tests_agree(ctx, pairs, seen):
-        # Bott's repeat test, Bott and the Weyl product all say the same of
-        # every (Q*-partition, R-partition) pair
+        # Bott and the Weyl product say the same of every (Q*-partition,
+        # R-partition) pair: the cohomology vanishes where the Euler
+        # characteristic does
         for qstar, nu in pairs:
-            bott_says = vanishing_test(qstar, ctx)(nu)
+            bott_says = cohomology_of_summand(nu, qstar, ctx).is_zero
             weight = dual_weight(qstar.pad(ctx.rank_quot)) + nu.pad(ctx.rank_sub)
-            assert bott_says == cohomology_of_summand(nu, qstar, ctx).is_zero, (ctx, qstar, nu)
             assert bott_says == (weyl_euler_characteristic(weight, ctx.d) == 0), (ctx, qstar, nu)
             seen[bott_says] += 1
 
@@ -121,8 +113,7 @@ class TestVanishingPreTests:
                 for a in range(s * quot + 1)
                 for lam in partitions_in_box(a, s, quot)
                 for b in range(s * w + 1)
-                for mu in partitions_in_box(b, s, w)
-                for nu in candidates(lam, mu, s)
+                for nu in schur.lr_shapes(lam, b, s, w)
             }
             self.assert_pre_tests_agree(ctx, pairs, seen)
         assert seen[True] > 1000 and seen[False] > 1000, seen
@@ -146,6 +137,46 @@ class TestVanishingPreTests:
 
 
 class TestCohomologyTable:
+    def test_one_bott_call_per_pair_and_no_lr_read_where_it_vanishes(self, monkeypatch):
+        # Bott runs once on each (lam', nu) the sweep lists, nu from
+        # lr_shapes(lam, b, s, n - d) for b = q - |lam| <= s(n - d), and LR
+        # reads only the pairs it keeps, each mu within the content-prefix
+        # bound
+        bott_calls, lr_reads = [], []
+        bott, count = geometric.cohomology_of_summand, schur.lr_coefficient
+
+        def counting_bott(nu, qstar, ctx):
+            bott_calls.append((qstar, nu))
+            return bott(nu, qstar, ctx)
+
+        def counting_lr(lam, mu, nu):
+            lr_reads.append((lam, mu, nu))
+            return count(lam, mu, nu)
+
+        monkeypatch.setattr(geometric, "cohomology_of_summand", counting_bott)
+        monkeypatch.setattr(schur, "lr_coefficient", counting_lr)
+        killed = 0
+        for ctx in small_contexts(max_d=5, max_n=7):
+            s, quot, w = ctx.rank_sub, ctx.rank_quot, ctx.dim_w
+            for q in range(ctx.xi_rank + 1):
+                bott_calls.clear()
+                lr_reads.clear()
+                cohomology_table(ctx, q)
+                listed = [
+                    (lam.conjugate(), nu)
+                    for a in range(max(q - s * w, 0), min(q, s * quot) + 1)
+                    for lam in partitions_in_box(a, s, quot)
+                    for nu in schur.lr_shapes(lam, q - a, s, w)
+                ]
+                assert sorted(bott_calls) == sorted(listed), (ctx, q)
+                dead = {pair for pair in listed if bott(pair[1], pair[0], ctx).is_zero}
+                killed += len(dead)
+                for lam, mu, nu in lr_reads:
+                    assert (lam.conjugate(), nu) not in dead, (ctx, q, lam, mu, nu)
+                    skew = [sum(nu[: r + 1]) - sum(lam[: r + 1]) for r in range(len(nu))]
+                    assert all(k <= sum(mu[: r + 1]) for r, k in enumerate(skew)), (ctx, lam, mu, nu)
+        assert killed > 400, killed
+
     def test_frozen_q1_table(self):
         ctx = GrassmannianContext(2, 3, 8)
         table = cohomology_table(ctx, 1)
@@ -453,13 +484,14 @@ class TestEulerRoute:
         for owner, name in [
             (schur, "lr_coefficient"),
             (schur, "lr_product"),
+            (schur, "lr_skew"),
+            (schur, "lr_shapes"),
+            (schur, "lr_bound"),
             (geometric, "xi_exterior_decomposition"),
             (geometric, "cohomology_of_summand"),
-            (geometric, "vanishing_test"),
             (geometric, "schur_rank"),
             (BOTT, "bott"),
             (BOTT, "cohomology_of_summand"),
-            (BOTT, "vanishing_test"),
         ]:
             monkeypatch.setattr(owner, name, refuse)
         for ctx in self.CONTEXTS:

@@ -1,6 +1,6 @@
 import json
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +247,31 @@ class TestModulus:
     @pytest.mark.parametrize("p", [2, 3, 97, P_DEFAULT])
     def test_accepted(self, p):
         assert FpMatrix(np.array([[3, 1], [1, 0]], dtype=np.int64), p).rank() == 2
+
+    def test_array_trial_division_matches_the_scalar_one(self):
+        # every n < 2^16, the ends of the range, and 46337^2 < 2^31, the
+        # square of the largest prime below sqrt(2^31); the uncached check,
+        # so the sweep leaves no entries in the cache
+        def scalar_accepts(p):
+            return 2 <= p < 1 << 31 and not any(p % q == 0 for q in range(2, isqrt(p) + 1))
+
+        def accepts(p):
+            try:
+                kalman._check_modulus.__wrapped__(p)
+            except ValueError as exc:
+                assert str(exc) == f"modulus must be a prime p with 2 <= p < 2^31, got {p}"
+                return False
+            return True
+
+        for p in list(range(1 << 16)) + [(1 << 31) - 1, 1 << 31, 46337**2]:
+            assert accepts(p) == scalar_accepts(p), p
+        assert [accepts(p) for p in (0, 1, (1 << 31) - 1, 1 << 31, 46337**2)] == [
+            False,
+            False,
+            True,
+            False,
+            False,
+        ]
 
 
 class TestKalmanPoint:

@@ -2,11 +2,11 @@ from functools import lru_cache
 from math import comb
 
 from kalmanres.partitions import Partition, partitions_in_box, partitions_of, schur_rank
-from kalmanres import schur
 from kalmanres.schur import (
     cauchy_exterior,
     lr_coefficient,
     lr_product,
+    lr_skew,
 )
 from property_checks import (
     horizontal_strips,
@@ -19,19 +19,6 @@ from property_checks import (
 def all_partitions_up_to(total):
     for q in range(total + 1):
         yield from partitions_of(q)
-
-
-def scan_candidates(lam, mu, r):
-    """The nu lr_product counts, in order: size |lam| + |mu|, at most r
-    rows, containing lam, and rows 0..k of nu/lam holding at most
-    mu_1 + ... + mu_{k+1} cells."""
-    total, cols = sum(lam) + sum(mu), lam.part(0) + mu.part(0)
-    return [
-        nu
-        for nu in partitions_in_box(total, r, cols)
-        if all(nu.part(k) >= lam.part(k) for k in range(r))
-        and all(sum(nu[: k + 1]) - sum(lam[: k + 1]) <= sum(mu[: k + 1]) for k in range(r))
-    ]
 
 
 def pieri_row(mu, k):
@@ -186,49 +173,24 @@ class TestLittlewoodRichardson:
                             expected.append((nu, c))
                     assert list(lr_product(lam, mu, r).items()) == expected, (lam, mu, r)
 
-    def test_skip_sees_exactly_the_candidates_and_none_it_drops_is_counted(self, monkeypatch):
-        # the candidates of r rows have size |lam| + |mu|, contain lam, and
-        # rows 0..k of nu/lam hold at most mu_1 + ... + mu_{k+1} cells; skip
-        # sees them in lexicographic descending order, here dropping every
-        # second one, and only the others reach lr_coefficient
-        counted = []
-        count = schur.lr_coefficient
-
-        def counting(lam, mu, nu):
-            counted.append(nu)
-            return count(lam, mu, nu)
-
-        monkeypatch.setattr(schur, "lr_coefficient", counting)
-        for lam in all_partitions_up_to(5):
-            for mu in all_partitions_up_to(5):
-                for r in range(lam.length() + mu.length() + 1):
-                    candidates = scan_candidates(lam, mu, r)
-                    seen = []
-                    counted.clear()
-                    got = lr_product(lam, mu, r, skip=lambda nu: seen.append(nu) or len(seen) % 2 == 0)
-                    assert seen == candidates, (lam, mu, r)
-                    assert counted == seen[0::2], (lam, mu, r)
-                    kept = set(seen[0::2])
-                    assert got == {
-                        nu: c for nu, c in lr_product(lam, mu, r).items() if nu in kept
-                    }, (lam, mu, r)
-
-    def test_two_skips_on_one_product(self):
-        # two skips of one product each see every candidate in order, and
-        # each result is the full product less exactly the keys its own skip
-        # dropped
-        skips = (lambda nu: len(nu) == 3, lambda nu: nu.part(0) >= 5 or nu.part(1) <= 2)
-        for lam, mu in [((3, 2, 1), (2, 2, 1)), ((2, 1), (2, 1)), ((4, 2), (3, 1, 1))]:
-            lam, mu = Partition(lam), Partition(mu)
-            for rows in range(len(lam) + len(mu) + 1):
-                full = lr_product(lam, mu, rows)
-                for drop in skips:
-                    seen = []
-                    got = lr_product(lam, mu, rows, skip=lambda nu: seen.append(nu) or drop(nu))
-                    assert seen == scan_candidates(lam, mu, rows), (lam, mu, rows)
-                    assert list(got.items()) == [
-                        (nu, c) for nu, c in full.items() if not drop(nu)
-                    ], (lam, mu, rows)
+    def test_skew_walk_against_cell_backtracking_oracle(self):
+        # one walk of nu/lam gives every nonzero c^nu_{lam,mu}, for every
+        # lam in nu with |nu| <= 10 (2,888 pairs)
+        pairs = 0
+        for nu in all_partitions_up_to(10):
+            for lam in all_partitions_up_to(sum(nu)):
+                if len(lam) > len(nu) or any(a < b for a, b in zip(nu, lam)):
+                    continue
+                pairs += 1
+                expected = {}
+                for mu in partitions_of(sum(nu) - sum(lam)):
+                    c = lr_coefficient_cells(lam, mu, nu)
+                    if c:
+                        expected[mu] = c
+                got = lr_skew(lam, nu)
+                assert got == expected, (lam, nu)
+                assert list(got) == sorted(got, reverse=True), (lam, nu)
+        assert pairs == 2888
 
     def test_mutating_a_product_leaves_the_next_call_whole(self):
         lam, mu = Partition((2, 1)), Partition((2, 1))
