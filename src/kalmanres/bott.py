@@ -19,6 +19,7 @@ Conventions (load-bearing, do not change silently):
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from typing import NamedTuple, Optional
 
@@ -29,13 +30,14 @@ class GrassmannianContext(namedtuple("GrassmannianContext", "s d n")):
     """Ambient data: subspace dimension s inside L of dimension d, with the
     whole space of dimension n (so the complement W has dimension n - d).
 
-    Requires 1 <= s <= d < n.  s = d is the degenerate point Grassmannian.
+    Requires integers 1 <= s <= d < n.  s = d is the degenerate point Grassmannian.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, s: int, d: int, n: int):
+        s, d, n = map(operator.index, (s, d, n))
         if not (1 <= s <= d < n):
             raise ValueError(f"need 1 <= s <= d < n, got {(s, d, n)}")
         return super().__new__(cls, s, d, n)
@@ -56,9 +58,6 @@ class GrassmannianContext(namedtuple("GrassmannianContext", "s d n")):
     def xi_rank(self) -> int:
         """Rank of the bundle R tensor (Q* + W)."""
         return self.s * (self.d - self.s) + self.s * (self.n - self.d)
-
-    def rho(self) -> Weight:
-        return tuple(range(self.d - 1, -1, -1))
 
 
 class CohomologyResult(NamedTuple):
@@ -82,8 +81,7 @@ def bott(alpha: Weight, beta: Weight, ctx: GrassmannianContext) -> CohomologyRes
     alpha must have length d - s and beta length s, both weakly decreasing
     (entries may be negative).
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+    alpha, beta = tuple(alpha), tuple(beta)
     if len(alpha) != ctx.rank_quot or len(beta) != ctx.rank_sub:
         raise ValueError(
             f"weight lengths {(len(alpha), len(beta))} do not match "
@@ -91,16 +89,17 @@ def bott(alpha: Weight, beta: Weight, ctx: GrassmannianContext) -> CohomologyRes
         )
     if not is_weakly_decreasing(alpha) or not is_weakly_decreasing(beta):
         raise ValueError(f"weights must be weakly decreasing: {alpha}, {beta}")
-    rho = ctx.rho()
-    shifted = [v + r for v, r in zip(alpha + beta, rho)]
-    if len(set(shifted)) < ctx.d:
+    return _dotted_weyl(alpha + beta)
+
+
+def _dotted_weyl(weight: Weight) -> CohomologyResult:
+    """The dotted Weyl step of the module docstring, on a weight its caller checked."""
+    d = len(weight)
+    rho = range(d - 1, -1, -1)
+    shifted = [v + r for v, r in zip(weight, rho)]
+    if len(set(shifted)) < d:
         return CohomologyResult.zero()
-    inversions = sum(
-        1
-        for i in range(ctx.d)
-        for k in range(i + 1, ctx.d)
-        if shifted[i] < shifted[k]
-    )
+    inversions = sum(1 for i in range(d) for k in range(i + 1, d) if shifted[i] < shifted[k])
     eta = tuple(v - r for v, r in zip(sorted(shifted, reverse=True), rho))
     return CohomologyResult(inversions, eta)
 
@@ -112,15 +111,12 @@ def cohomology_of_summand(
 
     lam_r is a partition weight on the sub-bundle R, mu_qstar a partition
     weight on the dual quotient Q*; the latter is negate-reversed into a
-    Q-weight before the dotted Weyl step.
+    Q-weight, which enters the dotted Weyl step without bott()'s checks.
     """
-    lam_r = Partition(lam_r)
-    mu_qstar = Partition(mu_qstar)
+    lam_r, mu_qstar = Partition(lam_r), Partition(mu_qstar)
     if lam_r.length() > ctx.rank_sub:
         raise ValueError(f"{lam_r!r} exceeds rank {ctx.rank_sub} of the sub-bundle")
     if mu_qstar.length() > ctx.rank_quot:
         raise ValueError(f"{mu_qstar!r} exceeds rank {ctx.rank_quot} of the quotient")
-    alpha = dual_weight(mu_qstar.pad(ctx.rank_quot))
-    beta = lam_r.pad(ctx.rank_sub)
-    return bott(alpha, beta, ctx)
+    return _dotted_weyl(dual_weight(mu_qstar.pad(ctx.rank_quot)) + lam_r.pad(ctx.rank_sub))
 

@@ -15,12 +15,13 @@ two routes must agree exactly; `hilbert` and the tests check it.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, namedtuple
 from math import comb, prod
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import schur
-from .bott import CohomologyResult, GrassmannianContext, cohomology_of_summand
+from .bott import GrassmannianContext, cohomology_of_summand
 from .partitions import Partition, partitions_in_box, schur_rank
 
 
@@ -84,18 +85,19 @@ def cohomology_table(ctx: GrassmannianContext, q: int) -> dict[int, Counter]:
     """Cohomology of wedge^q(xi), as {degree j: Counter[(L-partition,
     W-partition)] with multiplicities}.  Only nonzero degrees appear.  Bott
     runs once on each pair the sweep lists, before its LR reads, which it
-    skips when the cohomology vanishes; summands read it back from a dict."""
-    cohomology: dict[tuple, CohomologyResult] = {}
+    skips when it vanishes; summands read (degree, eta) back from a dict."""
+    cohomology: dict[tuple, tuple[int, Partition]] = {}
 
     def vanishes(lam_conj: Partition, nu: Partition) -> bool:
-        res = cohomology[lam_conj, nu] = cohomology_of_summand(nu, lam_conj, ctx)
+        res = cohomology_of_summand(nu, lam_conj, ctx)
+        if not res.is_zero:  # eta is nonnegative here; Partition raises otherwise
+            cohomology[lam_conj, nu] = res.degree, Partition(res.weight)
         return res.is_zero
 
     table: dict[int, Counter] = {}
     for summand in xi_exterior_decomposition(ctx, q, vanishes=vanishes):
-        res = cohomology[summand.mu_qstar, summand.lambda_r]
-        eta = Partition(res.weight)  # nonnegative here; raises otherwise
-        table.setdefault(res.degree, Counter())[(eta, summand.nu_w)] += summand.mult
+        degree, eta = cohomology[summand.mu_qstar, summand.lambda_r]
+        table.setdefault(degree, Counter())[(eta, summand.nu_w)] += summand.mult
     return table
 
 
@@ -121,19 +123,20 @@ class BettiTable:
 
     def add(self, i: int, e: int, lam: Partition, mu: Partition, mult: int = 1) -> None:
         """Raises on a summand of rank zero (lam over d rows, mu over dim W)."""
+        if not self.add_nonzero(i, e, lam, mu, mult):
+            raise ValueError(f"rank-zero summand {Partition(lam)!r}, {Partition(mu)!r} over {self.ctx}")
+
+    def add_nonzero(self, i: int, e: int, lam, mu, mult: int = 1) -> bool:
+        """add(), but silently drop summands of rank zero (too many rows for
+        either factor), returning False.  Used by closed forms stated for large n."""
+        mult = operator.index(mult)
         if mult <= 0:
             raise ValueError("multiplicity must be positive")
         lam, mu = Partition(lam), Partition(mu)
         if len(lam) > self.ctx.d or len(mu) > self.ctx.dim_w:
-            raise ValueError(f"rank-zero summand {lam!r}, {mu!r} over {self.ctx}")
+            return False
         self._data[(i, e, lam, mu)] += mult
-
-    def add_nonzero(self, i: int, e: int, lam, mu, mult: int = 1) -> None:
-        """add(), but silently drop summands of rank zero (too many rows for
-        either factor).  Used by closed forms stated for large n."""
-        lam, mu = Partition(lam), Partition(mu)
-        if schur_rank(lam, self.ctx.d) and schur_rank(mu, self.ctx.dim_w):
-            self.add(i, e, lam, mu, mult)
+        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -274,14 +277,16 @@ def resolution_terms(ctx: GrassmannianContext) -> BettiTable:
 
 
 class HilbertSeries(namedtuple("HilbertSeries", "coeffs denominator_exponent")):
-    """Rational series numerator / (1 - t)^denominator_exponent with integer
-    numerator coefficients (index = degree)."""
+    """Rational series numerator / (1 - t)^denominator_exponent, with integer
+    numerator coefficients (index = degree) and an integer exponent >= 0."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, coeffs: tuple, denominator_exponent: int):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
+        if operator.index(denominator_exponent) < 0:
+            raise ValueError(f"denominator exponent must be nonnegative, got {denominator_exponent}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         return super().__new__(cls, coeffs, denominator_exponent)

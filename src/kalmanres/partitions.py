@@ -27,9 +27,8 @@ class Partition(tuple):
         parts = tuple(map(operator.index, parts))
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
+        if not is_weakly_decreasing(parts):
+            raise ValueError(f"parts must be weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {parts}")
         return super().__new__(cls, parts)

@@ -21,7 +21,7 @@ from .partitions import Partition, partitions_in_box, partitions_of
 
 @lru_cache(maxsize=1)
 def lr_skew(lam: Partition, nu: Partition) -> dict[Partition, int]:
-    """Skew Schur expansion of nu/lam, {mu: c^nu_{lam,mu} > 0} in
+    """Skew Schur expansion of Partitions nu/lam, {mu: c^nu_{lam,mu} > 0} in
     lexicographic descending order ({} unless lam is in nu): the LR tableaux
     of shape nu/lam, column-strict fillings whose reverse reading word (right
     to left along rows, top row first) is a lattice word, filed by content.
@@ -34,7 +34,6 @@ def lr_skew(lam: Partition, nu: Partition) -> dict[Partition, int]:
     its entry v is read first in its row, so the lattice condition needs a
     v - 1 in the rows above, which hold at most r by induction.  Only the
     last shape is cached, and the dict returned is the cached one."""
-    lam, nu = Partition(lam), Partition(nu)
     if len(lam) > len(nu) or not all(map(ge, nu, lam)):
         return {}
     cells = sum(nu) - sum(lam)
@@ -90,10 +89,9 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def lr_shapes(lam: Partition, size: int, rows: int, cols: int) -> list[Partition]:
-    """The nu containing lam with |lam| + size cells in a rows x (lam_1 +
-    cols) box, lexicographic descending: every nu of at most rows rows with
-    c^nu_{lam,mu} > 0 for some mu of size cells at most cols wide."""
-    lam = Partition(lam)
+    """The nu containing the Partition lam with |lam| + size cells in a rows
+    x (lam_1 + cols) box, lexicographic descending: every nu of at most rows
+    rows with c^nu_{lam,mu} > 0 for some mu of size cells at most cols wide."""
     return [
         nu
         for nu in partitions_in_box(sum(lam) + size, rows, lam.part(0) + cols)

@@ -51,7 +51,6 @@ class TestContext:
         assert ctx.rank_quot == 1
         assert ctx.dim_w == 5
         assert ctx.xi_rank == 2 * 1 + 2 * 5
-        assert ctx.rho() == (2, 1, 0)
 
     def test_point_grassmannian(self):
         ctx = GrassmannianContext(3, 3, 5)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from kalmanres import geometric, schur
-from kalmanres.bott import GrassmannianContext, cohomology_of_summand
+from kalmanres.bott import GrassmannianContext, bott, cohomology_of_summand
 from kalmanres.geometric import (
     BettiTable,
     HilbertSeries,
@@ -96,12 +96,16 @@ class TestVanishingPreTests:
     def assert_pre_tests_agree(ctx, pairs, seen):
         # Bott and the Weyl product say the same of every (Q*-partition,
         # R-partition) pair: the cohomology vanishes where the Euler
-        # characteristic does
+        # characteristic does; and the partition route, which enters the
+        # dotted Weyl step without bott()'s checks, gives bott()'s degree
+        # and weight
         for qstar, nu in pairs:
-            bott_says = cohomology_of_summand(nu, qstar, ctx).is_zero
-            weight = dual_weight(qstar.pad(ctx.rank_quot)) + nu.pad(ctx.rank_sub)
-            assert bott_says == (weyl_euler_characteristic(weight, ctx.d) == 0), (ctx, qstar, nu)
-            seen[bott_says] += 1
+            res = cohomology_of_summand(nu, qstar, ctx)
+            alpha = dual_weight(qstar.pad(ctx.rank_quot))
+            assert res == bott(alpha, nu.pad(ctx.rank_sub), ctx), (ctx, qstar, nu)
+            weight = alpha + nu.pad(ctx.rank_sub)
+            assert res.is_zero == (weyl_euler_characteristic(weight, ctx.d) == 0), (ctx, qstar, nu)
+            seen[res.is_zero] += 1
 
     def test_pre_tests_agree_on_every_candidate(self):
         # the pairs (lam', nu) the sweep puts to its vanishing test
@@ -220,6 +224,14 @@ class TestBettiTable:
         assert t.multiplicity(5, 5, (), ()) == 0
         with pytest.raises(ValueError):
             t.add(0, 0, (), (), 0)
+
+    def test_add_rejects_non_integer_multiplicities(self):
+        t = BettiTable(GrassmannianContext(1, 2, 4))
+        for add in (t.add, t.add_nonzero):
+            for mult in (1.5, 2.0, "1"):
+                with pytest.raises(TypeError):
+                    add(0, 0, (), (), mult)
+        assert len(t) == 0
 
     def test_add_nonzero_prunes(self):
         t = BettiTable(GrassmannianContext(1, 2, 4))
@@ -450,6 +462,20 @@ class TestResolutionEngine:
             assert hilbert_series(resolution_terms(ctx)) == (
                 hilbert_series_normalization(ctx)
             ), ctx
+
+    def test_reaches_no_check_of_bott(self, monkeypatch):
+        # the sweep's pairs are partitions already checked where they were
+        # made, so the table route enters the dotted Weyl step directly
+        contexts = list(small_contexts(max_d=6, max_n=7))
+        expected = [resolution_terms(ctx) for ctx in contexts]
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the table route called bott()")
+
+        monkeypatch.setattr(BOTT, "bott", refuse)
+        for ctx, table in zip(contexts, expected):
+            got = resolution_terms(ctx)
+            assert got == table, (ctx, got.diff(table))
 
     def test_xi_summands_without_qstar_are_wedges_of_r_w(self):
         # the summands with no Q* factor are the wedge powers of R(x)W

@@ -41,7 +41,7 @@ RECORDS = [
         ("coeffs", "denominator_exponent"),
         ((1, 2, 0, 0), 16),  # trailing zeros are dropped
         "HilbertSeries(coeffs=(1, 2), denominator_exponent=16)",
-        [],
+        [(((1,), -1), "denominator exponent must be nonnegative, got -1")],
     ),
     (
         ConjectureReport,
@@ -92,3 +92,23 @@ def test_record_contract(cls, fields, args, text, refusals):
     if cls not in (FpMatrix, KalmanPoint):  # their arrays compare entrywise and do not hash
         again = cls(**keywords)
         assert again == record and hash(again) == hash(record)
+
+
+@pytest.mark.parametrize(
+    "cls, bad",
+    [
+        (GrassmannianContext, (1.5, 2, 3)),
+        (GrassmannianContext, (1, 2.0, 3)),
+        (GrassmannianContext, (1, 2, "3")),
+        (HilbertSeries, ((1.5,), 4)),  # int() truncated it to (1,)
+        (HilbertSeries, ((1, 2.0), 4)),
+        (HilbertSeries, ((1,), 4.0)),
+    ],
+)
+def test_integer_fields_refuse_other_numbers(cls, bad):
+    # operator.index, as Partition does for its parts: no float is truncated
+    # or kept to fail later
+    with pytest.raises(TypeError):
+        cls(*bad)
+    with pytest.raises(TypeError):
+        cls._make(bad)
