@@ -5,10 +5,13 @@ Every subcommand returns through _emit, which states its verdict: exit code
 main() adds 2 for a usage error and 3 for a refusal (resource budget).  JSON
 goes to stdout with --json; diagnostics go to stderr.
 
-main() loads numpy with one OpenBLAS thread: unless numpy is already loaded,
-it sets OPENBLAS_NUM_THREADS=1 when that is unset or empty (set it to choose
-another count).  A second thread only spins on the small F_p kernels, and every
-modular product sums integers below 2^53 in float64, exact under any split.
+Only kalman-test and hf load numpy, for their batches of points; codim
+checks one point on Python ints, and the symbolic subcommands never reach
+the F_p code.  For the two that load it, main() caps OpenBLAS at one thread:
+unless numpy is already loaded, it sets OPENBLAS_NUM_THREADS=1 when that is
+unset or empty (set it to choose another count).  A second thread only spins
+on the small F_p kernels, and every modular product sums integers below 2^53
+in float64, exact under any split.
 """
 
 from __future__ import annotations

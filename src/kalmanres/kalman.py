@@ -13,26 +13,35 @@ per row r (row d + r mod (n-d) of phi times alpha^j) and -e_c per column c.
 The Levi GL(L) x GL(V/L) maps M to (I x B) M A^-1, so it keeps A_0 and each
 I_k in it, and S_d x S_{n-d} permutes the weight blocks, sizes and ranks.
 
-Elimination over F_p has two kernels, and the input's shape selects one: a
-single matrix goes through the blocked _echelon (panels of BLOCK = 64
-columns, each reaching the columns to its right as one modular matrix
-product), a stack (..., r, c) of small matrices through _gauss_jordan, one
-unblocked loop over the columns for the whole stack.  Products mod p run on
-float64 BLAS: the left operand is split into 16-bit limbs, so a GEMM over at
-most 64 terms sums integers below 2^47 and every partial sum stays below
-2^53, where float64 is exact; every entry point checks that p < 2^31.
+One point is computed on Python ints and a batch of points on numpy, and
+the input selects the path: an int seed draws one point, whose phi, stack
+and matrices are tuples of int rows, and a sequence of seeds draws a stack
+(..., n, n) of int64 arrays.  One matrix is ranked by _echelon_rows, a
+forward elimination with unit pivots on Python ints, which also serves
+_left_kernel and the Jacobian rank of jacobian_codim; its matrices are a few
+dozen rows and columns (at most 24 x 35 on the benchmark), where a numpy
+call costs more than the arithmetic.  Batches keep three numpy kernels: a
+stack (..., r, c) of small matrices goes through _gauss_jordan, one unblocked
+loop over the columns for the whole stack, and numeric_hilbert_function's
+weight blocks, up to about a thousand rows, through the blocked _echelon
+(panels of BLOCK = 64 columns, each reaching the columns to its right as one
+modular matrix product).  Array products mod p run on float64 BLAS: the left
+operand is split into 16-bit limbs, so a GEMM over at most 64 terms sums
+integers below 2^47 and every partial sum stays below 2^53, where float64 is
+exact; every entry point checks that p is a prime below 2^31.
 The Jacobian of the k-minors is never formed: at a member the stack M has
 rank <= k-1; if rank M = k-1 its rank is that of the rows u_a (dM/dphi) v_b
 over kernel bases u_a M = 0 = M v_b, and if rank M < k-1 it is 0.
 
 All randomness flows through SplitMix64 (documented below) so that every
-result is reproducible bit-for-bit from its seed.
+result is reproducible bit-for-bit from its seed, on either path.
 
-numpy is imported inside each function that uses it, not at module level:
-the CLI and the package import this module, and the symbolic subcommands,
-which never call it, would otherwise spend most of their start-up loading
-numpy.  The CLI pins OpenBLAS to one thread before numpy loads; this module
-sets no thread count, so a library caller keeps its own BLAS policy.
+numpy is imported only inside the functions that build or take a stack, not
+at module level: the CLI and the package import this module, and a call
+that never makes a stack (the symbolic subcommands, and codim, which checks
+one point) would otherwise spend most of its start-up loading numpy.  The
+CLI pins OpenBLAS to one thread before numpy loads; this module sets no
+thread count, so a library caller keeps its own BLAS policy.
 """
 
 from __future__ import annotations
@@ -40,7 +49,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, prod
+from operator import index, mul
 
 P_DEFAULT = (1 << 31) - 1  # Mersenne prime; every modulus must be a prime below 2^31
 
@@ -51,6 +61,8 @@ CHUNK = 256  # rows per trailing update, which bounds its float64 temporaries
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+# no composite below 3,215,031,751 > 2^31 is a strong pseudoprime to all four
+_PRIME_BASES = (2, 3, 5, 7)
 
 
 @lru_cache(maxsize=None)
@@ -58,45 +70,139 @@ def _check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime with 2 <= p < 2^31: int64
     products of two residues and the float64 limb products of _matmul_mod
     are exact only below 2^31, and elimination needs every nonzero pivot
-    to have an inverse, which holds only for prime p."""
-    import numpy as np
-    if not 2 <= p < 1 << 31 or not (p % np.arange(2, isqrt(p) + 1)).all():
+    to have an inverse, which holds only for prime p.
+
+    Primality is Miller-Rabin to _PRIME_BASES, exact in this range: with
+    p - 1 = 2^r t, t odd, a prime p has a^t = 1 or a^(2^i t) = -1 mod p for
+    some i < r, for every base a that p does not divide."""
+    if not (2 <= p < 1 << 31 and (p in _PRIME_BASES or all(_strong_probable_prime(p, a) for a in _PRIME_BASES))):
         raise ValueError(f"modulus must be a prime p with 2 <= p < 2^31, got {p}")
 
 
+def _strong_probable_prime(p: int, a: int) -> bool:
+    """Whether p > 1 passes the Miller-Rabin round to base a."""
+    t, r = p - 1, 0
+    while t % 2 == 0:
+        t, r = t // 2, r + 1
+    x = pow(a, t, p)
+    if x in (1, p - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % p
+        if x == p - 1:
+            return True
+    return False
+
+
+def _mix(z: int) -> int:
+    """SplitMix64's output function of a state in [0, 2^64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
-    """SplitMix64 streams, one per seed of an int or a sequence of seeds.
+    """SplitMix64 streams: one for an int seed, one per seed of a sequence.
 
     The state steps by G = 0x9E3779B97F4A7C15 mod 2^64 and each output mixes
     the new state (xor-shift-multiply 30/0xBF58476D1CE4E5B9,
     27/0x94D049BB133111EB, 31), so output j >= 1 of seed sigma is
-    mix(sigma + j G mod 2^64): one uint64 expression gives every draw of
-    every stream.  Field elements are outputs mod p; for p near 2^31 the
-    bias is below 2^-32 per draw, far under the tests' Schwartz-Zippel terms."""
+    mix(sigma + j G mod 2^64): one expression gives every draw of every
+    stream.  One stream runs on Python ints and a sequence on numpy uint64,
+    with the same draws.  Field elements are outputs mod p; for p near 2^31
+    the bias is below 2^-32 per draw, far under the tests' Schwartz-Zippel
+    terms."""
 
     def __init__(self, seed):
-        import numpy as np
-        seeds = np.array(seed, dtype=object)
-        self.shape = seeds.shape  # () for an int seed
-        self.state = np.array([int(x) & _MASK64 for x in seeds.flat], dtype=np.uint64)
+        try:
+            self.shape, self.state = (), index(seed) & _MASK64
+        except TypeError:  # a sequence of seeds
+            import numpy as np
+            seeds = np.array(seed, dtype=object)
+            self.shape = seeds.shape
+            self.state = np.array([int(x) & _MASK64 for x in seeds.flat], dtype=np.uint64)
 
-    def _next(self, count: int) -> np.ndarray:
+    def _next(self, count: int):
+        """The next count outputs: a list for one stream, a uint64 array
+        (streams, count) for a sequence."""
+        if not self.shape:
+            start, self.state = self.state, (self.state + count * _GAMMA) & _MASK64
+            return [_mix((start + j * _GAMMA) & _MASK64) for j in range(1, count + 1)]
         import numpy as np
         z = self.state[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self.state = self.state + np.uint64(count * _GAMMA & _MASK64)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))  # shape (streams, count)
+        return z ^ (z >> np.uint64(31))
 
-    def matrix(self, rows: int, cols: int, p: int) -> np.ndarray:
-        """Shape self.shape + (rows, cols): each stream's next draws mod p."""
+    def matrix(self, rows: int, cols: int, p: int):
+        """Each stream's next rows x cols draws mod p, row by row: a tuple of
+        int rows for one stream, an int64 array of shape self.shape + (rows,
+        cols) for a sequence."""
+        if not self.shape:
+            draws = [x % p for x in self._next(rows * cols)]
+            return tuple(tuple(draws[i * cols : (i + 1) * cols]) for i in range(rows))
         import numpy as np
         draws = self._next(rows * cols) % np.uint64(p)
         return draws.astype(np.int64).reshape(self.shape + (rows, cols))
 
 
+# -- one matrix, as a tuple of int rows --------------------------------------
+
+
+def _echelon_rows(rows, p: int):
+    """Row echelon form over F_p of one matrix given by its int rows, on
+    Python ints: (e, pivots), e a list of rows in which row i has a 1 in
+    column pivots[i] and zeros below it, and the rows after len(pivots) are
+    zero.  The rank is len(pivots).
+
+    In each column the pivot is the first nonzero row at or below the rank so
+    far; it is swapped up, scaled to 1 and subtracted from every row below
+    it with a nonzero entry there.  These are the row operations of _echelon,
+    so both give the same (e, pivots)."""
+    e = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(e[0]) if e else 0):
+        r = len(pivots)
+        if r == len(e):
+            break
+        i = next((i for i in range(r, len(e)) if e[i][c]), None)
+        if i is None:
+            continue
+        e[r], e[i] = e[i], e[r]
+        inv = pow(e[r][c], -1, p)
+        top = e[r] = [x * inv % p for x in e[r]]
+        for j in range(r + 1, len(e)):
+            f = e[j][c]
+            if f:
+                e[j] = [(x - f * y) % p for x, y in zip(e[j], top)]
+        pivots.append(c)
+    return e, pivots
+
+
+def _left_kernel(m, p: int):
+    """(u, rank(m)) for one matrix m of int rows: the rows of u are a basis
+    of {x : x m = 0} over F_p.  Eliminating [m | I] records the row
+    operations in the identity block; the rows left without a pivot in m
+    are combinations killing m."""
+    cols = len(m[0]) if m else 0
+    e, pivots = _echelon_rows([[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)], p)
+    rank = sum(c < cols for c in pivots)
+    return [row[cols:] for row in e[rank:]], rank
+
+
+def _mul_rows(a, b, p: int):
+    """a @ b over F_p for matrices given by their int rows, b with at least one row."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
+
+
+# -- batches of points, as int64 arrays --------------------------------------
+
+
 def _echelon(mat: np.ndarray, p: int):
-    """Row echelon form over F_p of a single matrix.
+    """Row echelon form over F_p of a single matrix as an array (a weight
+    block of numeric_hilbert_function).
 
     Forward elimination with unit pivots; returns (e, pivots) where row i of
     e has a 1 in column pivots[i] and zeros below it, and the rows after
@@ -158,18 +264,6 @@ def _echelon(mat: np.ndarray, p: int):
             block -= _matmul_mod(mult[i - r0 : i - r0 + CHUNK, :kp], top, p)
             block += p * (block < 0)  # a difference of residues: one add of p reduces it
     return e, pivots
-
-
-def _left_kernel(m: np.ndarray, p: int):
-    """(u, rank(m)): the rows of u are a basis of {x : x m = 0} over F_p.
-
-    Eliminating [m | I] records the row operations in the identity block;
-    the rows left without a pivot in m are combinations killing m."""
-    import numpy as np
-    rows, cols = m.shape
-    e, pivots = _echelon(np.hstack([m, np.eye(rows, dtype=np.int64)]), p)
-    rank = sum(c < cols for c in pivots)
-    return e[rank:, cols:], rank
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -252,52 +346,81 @@ def _minor_values(stacks: np.ndarray, table: list, p: int) -> np.ndarray:
     return vals
 
 
+def _entries(data, p: int):
+    """One matrix (a sequence of int rows or a 2-D array) as a tuple of int
+    rows mod p, or a stack (an array of shape (..., r, c)) as an int64 array
+    mod p."""
+    if getattr(data, "ndim", 2) != 2:
+        import numpy as np
+        return np.asarray(data, dtype=np.int64) % p
+    rows = tuple(tuple(int(x) % p for x in row) for row in data)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("the rows of a matrix must have one length")
+    return rows
+
+
+def _shape(data):
+    """(rows, cols) of a tuple of int rows, else the stack's shape."""
+    if isinstance(data, tuple):
+        return len(data), len(data[0]) if data else 0
+    return data.shape
+
+
 class FpMatrix(namedtuple("FpMatrix", "data p")):
-    """Matrix over F_p with exact arithmetic."""
+    """Matrix over F_p with exact arithmetic, or a stack of them.
+
+    One matrix is held as a tuple of int rows: it hashes, and it ranks on
+    Python ints (_echelon_rows) without loading numpy, which suits the
+    package's own matrices (at most 24 x 35 on the benchmark) and not large
+    ones, whose elimination belongs to _echelon.  A stack (..., r, c) is an
+    int64 array and ranks with _gauss_jordan."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, data: np.ndarray, p: int = P_DEFAULT):
-        import numpy as np
+    def __new__(cls, data, p: int = P_DEFAULT):
         _check_modulus(p)
-        return super().__new__(cls, np.asarray(data, dtype=np.int64) % p, p)
+        return super().__new__(cls, _entries(data, p), p)
 
     @property
     def shape(self):
-        return self.data.shape
+        return _shape(self.data)
 
     def rank(self):
-        """An int for a matrix (_echelon), an int array for a stack (_gauss_jordan)."""
-        if self.data.ndim == 2:
-            return len(_echelon(self.data, self.p)[1])
+        """An int for one matrix, an int64 array for a stack."""
+        if isinstance(self.data, tuple):
+            return len(_echelon_rows(self.data, self.p)[1])
         return _gauss_jordan(self.data, self.p)[1]
 
 
 class KalmanPoint(namedtuple("KalmanPoint", "d n phi p")):
     """An endomorphism in the basis adapted to the marked subspace L:
     the top-left d x d block acts on L, the bottom-left block is the
-    obstruction to L-invariance.  phi may be a stack (..., n, n)."""
+    obstruction to L-invariance.  phi is one n x n matrix, held as a tuple
+    of int rows, or a stack (..., n, n), held as an int64 array (FpMatrix)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, d: int, n: int, phi: np.ndarray, p: int = P_DEFAULT):
-        import numpy as np
+    def __new__(cls, d: int, n: int, phi, p: int = P_DEFAULT):
         _check_modulus(p)
-        phi = np.asarray(phi, dtype=np.int64)
-        if phi.shape[-2:] != (n, n):
+        phi = _entries(phi, p)
+        if _shape(phi)[-2:] != (n, n):
             raise ValueError("phi must be n x n")
         if not 1 <= d < n:
             raise ValueError("need 1 <= d < n")
-        return super().__new__(cls, d, n, phi % p, p)
+        return super().__new__(cls, d, n, phi, p)
 
     @property
-    def alpha(self) -> np.ndarray:
+    def alpha(self):
+        if isinstance(self.phi, tuple):
+            return tuple(row[: self.d] for row in self.phi[: self.d])
         return self.phi[..., : self.d, : self.d]
 
     @property
-    def gamma(self) -> np.ndarray:
+    def gamma(self):
+        if isinstance(self.phi, tuple):
+            return tuple(row[: self.d] for row in self.phi[self.d :])
         return self.phi[..., self.d :, : self.d]
 
 
@@ -305,10 +428,13 @@ def reduced_kalman_matrix(pt: KalmanPoint) -> FpMatrix:
     """Vertical stack of gamma, gamma*alpha, ..., gamma*alpha^{d-1};
     shape d(n-d) x d, one per point of a stack.  Rows from the j-th block
     are values of degree-(j+1) polynomials in the entries of phi."""
-    import numpy as np
+    one = isinstance(pt.phi, tuple)
     blocks = [pt.gamma]
     for _ in range(pt.d - 1):
-        blocks.append(_matmul_mod(blocks[-1], pt.alpha, pt.p))
+        blocks.append((_mul_rows if one else _matmul_mod)(blocks[-1], pt.alpha, pt.p))
+    if one:
+        return FpMatrix(sum(blocks, ()), pt.p)
+    import numpy as np
     return FpMatrix(np.concatenate(blocks, axis=-2), pt.p)
 
 
@@ -326,15 +452,26 @@ def sample_member(s: int, d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoi
     phi's first s columns become U b - phi[:, s:d] x, so phi U = U b exactly
     and phi is uniform among the maps that keep U.  U ranges over the
     s-planes in L that meet span(e_{s+1}..e_d) only in 0: a dense open set
-    that misses O(1/p) of them.  A sequence of seeds gives a stack: each
-    point as its seed gives it alone."""
-    import numpy as np
+    that misses O(1/p) of them.  An int seed gives one point on Python ints;
+    a sequence of seeds gives a stack, each point as its seed gives it alone."""
     _check_modulus(p)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     rng = SplitMix64(seed)
     phi = rng.matrix(n, n, p)
     x = rng.matrix(d - s, s, p)
+    if not rng.shape:  # one point, on Python ints
+        u = [[int(a == c) for c in range(s)] for a in range(s)] + [list(row) for row in x] + [[0] * s] * (n - d)
+        phi = [
+            [
+                (sum(u[a][t] * phi[t][c] for t in range(s)) - sum(row[s + t] * x[t][c] for t in range(d - s))) % p
+                for c in range(s)
+            ]
+            + list(row[s:])
+            for a, row in enumerate(phi)
+        ]
+        return KalmanPoint(d, n, phi, p)
+    import numpy as np
     u = np.zeros(rng.shape + (n, s), dtype=np.int64)
     u[..., :s, :] = np.eye(s, dtype=np.int64)
     u[..., s:d, :] = x
@@ -352,7 +489,8 @@ def sample_generic(d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
 def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int:
     """Rank over F_p of the Jacobian of all k-minors of the stacked matrix M,
     k = d-s+1, evaluated at sample_member(s, d, n, seed).  Equals the
-    variety's codimension when the sample lands in the smooth locus.
+    variety's codimension when the sample lands in the smooth locus.  One
+    point, on Python ints.
 
     The rank is read off the kernels of M instead of the minors.  A member
     has rank M <= k-1.  If rank M = k-1, write M = P diag(I_{k-1}, 0) Q: the
@@ -363,8 +501,14 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
     row (a, b) holds u_a (dM/dx) v_b for every entry x of phi.  If
     rank M < k-1, every cofactor of a k x k submatrix is a vanishing
     (k-1)-minor and the rank is 0.  At s = d, k = 1 and M = 0 at every
-    member, so both kernels are everything and the rank is d(n-d)."""
-    import numpy as np
+    member, so both kernels are everything and the rank is d(n-d).
+
+    Row (a, b) is a gradient.  With M_j = gamma alpha^j the j-th block of M
+    and u^j the matching part of u, u M v = sum_j u^j gamma alpha^j v, and
+    d(gamma alpha^j) = d(gamma) alpha^j + sum_{i+1+m=j} M_i d(alpha) alpha^m,
+    so u (dM) v pairs d(gamma) with sum_j (u^j)^T (alpha^j v)^T and d(alpha)
+    with sum_m P_m^T (alpha^m v)^T, P_m = sum_{j>m} u^j M_{j-1-m}; the beta
+    and delta entries of phi do not occur in M."""
     pt = sample_member(s, d, n, seed, p)  # checks the modulus and 1 <= s <= d < n
     stack = reduced_kalman_matrix(pt).data
     k = d - s + 1
@@ -373,21 +517,24 @@ def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int
         raise RuntimeError(f"sample has a nonzero {k}-minor, so it is not on the variety")
     if rank < k - 1:
         return 0
-    right = _left_kernel(stack.T, p)[0].T
-
-    # derivative of the stack along each alpha and gamma entry of phi (the
-    # beta and delta entries do not occur in it), one unit matrix per entry,
-    # by d(gamma alpha^j) = d(gamma alpha^{j-1}) alpha + gamma alpha^{j-1} d(alpha)
     w = n - d
-    units = np.eye(d * d + w * d, dtype=np.int64)
-    dalpha = units[:, : d * d].reshape(-1, d, d)
-    dblocks = [units[:, d * d :].reshape(-1, w, d)]  # d(gamma)
-    for j in range(1, d):
-        dblock = _matmul_mod(dblocks[-1], pt.alpha, p)
-        dblock += _matmul_mod(stack[(j - 1) * w : j * w], dalpha, p)
-        dblocks.append(dblock % p)
-    jac = _matmul_mod(_matmul_mod(left, np.concatenate(dblocks, axis=1), p), right, p)
-    return len(_echelon(jac.reshape(len(units), -1).T, p)[1])
+    alpha_t = tuple(zip(*pt.alpha))
+    powers = []  # (alpha^m v)^T for m < d, one list per v_b
+    for v in _left_kernel(tuple(zip(*stack)), p)[0]:
+        rows = [v]
+        for _ in range(d - 1):
+            rows += _mul_rows(rows[-1:], alpha_t, p)
+        powers.append(rows)
+    jac = []
+    for u in left:
+        # P_m = (u^{m+1}, ..., u^{d-1}) (M_0; ...; M_{d-2-m})
+        pm = [_mul_rows([u[(m + 1) * w :]], stack[: (d - 1 - m) * w], p)[0] for m in range(d - 1)]
+        for av in powers:
+            jac.append(
+                [sum(pm[m][r] * av[m][c] for m in range(d - 1)) % p for r in range(d) for c in range(d)]
+                + [sum(u[j * w + r] * av[j][c] for j in range(d)) % p for r in range(w) for c in range(d)]
+            )
+    return len(_echelon_rows(jac, p)[1])
 
 
 class BudgetExceededError(Exception):
@@ -487,7 +634,7 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     degrees = (minor_rows // (n - d) + 1).sum(1)
     by_degree = {e: np.flatnonzero(degrees == e) for e in minors}
     minor_w, var_w = _weight_tables(d, n, minor_rows, minor_cols)
-    rng = SplitMix64(seed)
+    rng = SplitMix64([seed])  # one stream, drawn as a stack of one: its points are arrays
     hf0, prev_dim = [], 0  # HF_{A_0/I'}, and dim I'_{k-1}
     for k in range(k_max + 1):
         dim = comb(nd + k - 1, k)

@@ -22,6 +22,7 @@ index sets and torus weights.
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, permutations
+from math import isqrt
 
 from kalmanres.bott import GrassmannianContext, cohomology_of_summand
 from kalmanres.geometric import (
@@ -591,6 +592,14 @@ def minors_jacobian_rank(phi, d, k, p):
     return rank_mod_p(jac, p)
 
 
+# -- moduli -------------------------------------------------------------------
+
+
+def is_prime_by_trial_division(p):
+    """Whether p is a prime: p >= 2 and no q with 2 <= q <= sqrt(p) divides it."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 # -- elimination over F_p -----------------------------------------------------
 
 
@@ -783,7 +792,7 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
     minors = stack_minors(s, d, n)
     minor_rows = np.array([rows for rows, _, _ in minors])[:, :, None]
     minor_cols = np.array([cols for _, cols, _ in minors])[:, None, :]
-    rng = SplitMix64(seed)
+    rng = SplitMix64([seed])  # one stream, drawn as arrays
     hf = []
     for k in range(k_max + 1):
         row_specs = [
@@ -798,7 +807,7 @@ def hilbert_function_dense(s, d, n, k_max, seed, p):
             flats = np.empty((npts, nn), dtype=np.int64)
             stacks = np.empty((npts, d * (n - d), d), dtype=np.int64)
             for t in range(npts):
-                phi = rng.matrix(n, n, p)
+                phi = rng.matrix(n, n, p)[0]
                 flats[t] = phi.reshape(-1)
                 stacks[t] = kalman_stack(phi, d, p)
             minor_vals = permutation_det(stacks[:, minor_rows, minor_cols], p)
@@ -832,7 +841,7 @@ def hilbert_function_all_weights(s, d, n, k_max, seed, p):
     minors = stack_minors(s, d, n)
     minor_rows = np.array([rows for rows, _, _ in minors])
     minor_cols = np.array([cols for _, cols, _ in minors])
-    rng = SplitMix64(seed)
+    rng = SplitMix64([seed])  # one stream, drawn as arrays
     hf = []
     for k in range(k_max + 1):
         # row = (minor idx[i]) x (monomial monos[i]), padded to length k by

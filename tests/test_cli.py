@@ -495,15 +495,18 @@ print(json.dumps({
 """
 
 
-def run_fresh(calls, blas_threads=None):
+def run_fresh(calls, blas_threads=None, block_numpy=False):
     """Run calls in a fresh interpreter whose OPENBLAS_NUM_THREADS is
-    blas_threads, or unset when it is None; returns (stdout, probe object)."""
+    blas_threads, or unset when it is None; returns (stdout, probe object).
+    With block_numpy, sys.modules["numpy"] is None, so importing numpy
+    raises ImportError and a call that tries exits nonzero."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ('import sys; sys.modules["numpy"] = None\n' if block_numpy else "") + _STARTUP_PROBE
     child = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(calls)],
+        [sys.executable, "-c", probe, json.dumps(calls)],
         capture_output=True,
         env=env,
         timeout=300,
@@ -513,8 +516,10 @@ def run_fresh(calls, blas_threads=None):
 
 
 class TestStartup:
-    """Only the F_p subcommands load numpy, and only when they run; the CLI
-    loads it with one OpenBLAS thread unless the caller chose a count."""
+    """Only the F_p subcommands on batches of points (kalman-test, hf) load
+    numpy, and only when they run; codim checks one point on Python ints.
+    The CLI loads numpy with one OpenBLAS thread unless the caller chose a
+    count."""
 
     VERIFY_CALLS = {
         "prop-2-2": "--d 2 --n 5",
@@ -535,6 +540,7 @@ class TestStartup:
             "hilbert --s 1 --d 2 --n 5",
             "cohomology --s 2 --d 3 --n 8 --q 1",
             "conjecture --d 2 --n 5",
+            "codim --s 1 --d 3 --n 5",
         ] + [f"verify {vid} {rest}".strip() for vid, rest in self.VERIFY_CALLS.items()]
         _, probe = run_fresh(calls)
         report = probe["calls"]
@@ -569,10 +575,23 @@ class TestStartup:
             )
             assert (child.returncode, child.stdout) == (code, stdout), (call, child.stderr.decode())
 
+    def test_codim_runs_with_numpy_unimportable(self):
+        # the benchmark's four codim contexts against their references, and
+        # s = d, where M = 0, against the output the numpy kernel gave
+        reference = ROOT / "bench" / "reference"
+        contexts = [(2, 4, 7), (2, 5, 7), (3, 5, 7), (1, 3, 5)]
+        calls = [f"codim --s {s} --d {d} --n {n} --json" for s, d, n in contexts + [(2, 2, 5)]]
+        stdout, probe = run_fresh(calls, block_numpy=True)
+        assert [row[1] for row in probe["calls"][1:]] == [OK] * len(calls)
+        s_equals_d = {"s": 2, "d": 2, "n": 5, "seed": 0, "jacobian_rank": 6, "expected": 6, "status": "ok"}
+        assert stdout == b"".join(
+            (reference / f"codim_s_{s}_d_{d}_n_{n}.stdout").read_bytes() for s, d, n in contexts
+        ) + (json.dumps(s_equals_d, indent=2) + "\n").encode()
+
     def test_fp_subcommand_loads_numpy_with_unchanged_output(self):
-        stdout, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"])
-        assert probe["calls"] == [["import", None, False], ["codim --s 1 --d 3 --n 5 --json", OK, True]]
-        assert stdout == (ROOT / "bench" / "reference" / "codim_s_1_d_3_n_5.stdout").read_bytes()
+        stdout, probe = run_fresh(["kalman-test --s 1 --d 3 --n 5 --json"])
+        assert probe["calls"] == [["import", None, False], ["kalman-test --s 1 --d 3 --n 5 --json", OK, True]]
+        assert stdout == (ROOT / "bench" / "reference" / "kalman_test_s_1_d_3_n_5.stdout").read_bytes()
         assert probe["blas_env"] == "1"
         if probe["threads"] is None:
             pytest.skip("no /proc/self/task to count threads")
@@ -580,16 +599,16 @@ class TestStartup:
 
     def test_an_empty_blas_thread_count_becomes_one(self):
         # OpenBLAS reads an empty value as unset and starts one thread per core
-        _, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"], blas_threads="")
-        assert probe["calls"][-1] == ["codim --s 1 --d 3 --n 5 --json", OK, True]
+        _, probe = run_fresh(["kalman-test --s 1 --d 3 --n 5 --json"], blas_threads="")
+        assert probe["calls"][-1] == ["kalman-test --s 1 --d 3 --n 5 --json", OK, True]
         assert probe["blas_env"] == "1"
         if probe["threads"] is None:
             pytest.skip("no /proc/self/task to count threads")
         assert probe["threads"] == 1
 
     def test_a_blas_thread_count_already_set_is_kept(self):
-        _, probe = run_fresh(["codim --s 1 --d 3 --n 5 --json"], blas_threads="2")
-        assert probe["calls"][-1] == ["codim --s 1 --d 3 --n 5 --json", OK, True]
+        _, probe = run_fresh(["kalman-test --s 1 --d 3 --n 5 --json"], blas_threads="2")
+        assert probe["calls"][-1] == ["kalman-test --s 1 --d 3 --n 5 --json", OK, True]
         assert probe["blas_env"] == "2"
 
     def test_main_leaves_the_environment_alone_once_numpy_is_loaded(self, monkeypatch):

@@ -1,6 +1,6 @@
 import json
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, isqrt
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from kalmanres.kalman import (
     KalmanPoint,
     SplitMix64,
     _echelon,
+    _echelon_rows,
     _gauss_jordan,
     _left_kernel,
     _matmul_mod,
@@ -33,6 +34,8 @@ from property_checks import (
     echelon_unblocked,
     hilbert_function_all_weights,
     hilbert_function_dense,
+    is_prime_by_trial_division,
+    kalman_stack,
     kalman_stack_rank,
     laplace_adjugate,
     laplace_det,
@@ -58,12 +61,18 @@ def rank(m, p):
     return len(_echelon(m, p)[1])
 
 
+def as_rows(m):
+    """An array or nested sequence as a tuple of int rows, the form of one matrix."""
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
 class TestRng:
     def test_splitmix64_published_vector(self):
-        # first three outputs for seed 0, from the reference implementation
-        assert SplitMix64(0)._next(3).tolist() == [
-            [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-        ]
+        # first three outputs for seed 0, from the reference implementation,
+        # on Python ints for one seed and on numpy for a sequence
+        first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert SplitMix64(0)._next(3) == first
+        assert SplitMix64([0])._next(3).tolist() == [first]
 
     @pytest.mark.parametrize("p", [2, 97, P_DEFAULT])
     def test_vectorised_draws_equal_the_scalar_stream(self, p):
@@ -77,14 +86,14 @@ class TestRng:
             assert first[t].reshape(-1).tolist() == draws[:12]
             assert second[t].reshape(-1).tolist() == draws[12:]
             one = SplitMix64(seed)
-            assert one.matrix(3, 4, p).tolist() == first[t].tolist()
-            assert one._next(1).tolist() == [[splitmix64_draws(seed, 13)[12]]]
+            assert one.matrix(3, 4, p) == as_rows(first[t])
+            assert one._next(1) == [splitmix64_draws(seed, 13)[12]]
 
     def test_matrix_shape_and_seed_sensitivity(self):
         m1 = SplitMix64(7).matrix(3, 4, P_DEFAULT)
         m2 = SplitMix64(8).matrix(3, 4, P_DEFAULT)
-        assert m1.shape == (3, 4)
-        assert m1.tolist() != m2.tolist()
+        assert np.shape(m1) == (3, 4) and m1 != m2
+        assert SplitMix64([7, 8]).matrix(3, 4, P_DEFAULT).tolist() == [list(map(list, m)) for m in (m1, m2)]
 
 
 class TestModularLinearAlgebra:
@@ -133,6 +142,8 @@ class TestModularLinearAlgebra:
             expected_e, expected_pivots = echelon_unblocked(m, p)
             assert pivots == expected_pivots
             assert e.dtype == expected_e.dtype and e.tolist() == expected_e.tolist()
+            # the elimination of one matrix on Python ints makes the same row operations
+            assert _echelon_rows(m.tolist(), p) == (expected_e.tolist(), expected_pivots)
 
     @pytest.mark.parametrize("inner", [1, 64, 65, 200])
     def test_matmul_mod_exact_at_worst_case(self, inner):
@@ -171,19 +182,22 @@ class TestModularLinearAlgebra:
                 assert got.tolist() == expected.tolist(), (k, rows, cols)
 
     def test_left_kernel(self):
-        p = P_DEFAULT
-        rng = SplitMix64(5)
-        for rows, cols, r in [(6, 3, 2), (5, 5, 5), (4, 6, 1), (3, 2, 0)]:
-            m = _matmul_mod(rng.matrix(rows, r, p), rng.matrix(r, cols, p), p)
-            u, got = _left_kernel(m, p)
-            assert got == rank(m, p) == r
-            assert u.shape == (rows - r, rows)
-            assert not _matmul_mod(u, m, p).any()
-            assert rank(u, p) == rows - r
+        # on Python ints: rows - rank independent rows u with u m = 0, exactly
+        rng = SplitMix64([5])
+        for p in (2, 3, P_DEFAULT):
+            for rows, cols, r in [(6, 3, 2), (5, 5, 5), (4, 6, 1), (3, 2, 0), (12, 4, 3), (35, 24, 20)]:
+                m = as_rows(_matmul_mod(rng.matrix(rows, r, p)[0], rng.matrix(r, cols, p)[0], p))
+                u, got = _left_kernel(m, p)
+                u = np.array(u, dtype=object).reshape(len(u), rows)
+                assert got == rank(m, p) == len(_echelon_rows(m, p)[1])
+                assert len(u) == rows - got and rank(u, p) == rows - got
+                assert not (u @ np.array(m, dtype=object) % p).any()
+                if p == P_DEFAULT:
+                    assert got == r
 
     def test_det_and_adjugate(self):
         p = P_DEFAULT
-        a = SplitMix64(11).matrix(4, 4, p)
+        a = SplitMix64([11]).matrix(4, 4, p)[0]
         (det,) = _minor_values(a, _minor_table(4, 4, 4), p)
         adj = np.array(laplace_adjugate(a.tolist(), p), dtype=np.int64)
         prod = _matmul_mod(a, adj, p)
@@ -248,13 +262,12 @@ class TestModulus:
     def test_accepted(self, p):
         assert FpMatrix(np.array([[3, 1], [1, 0]], dtype=np.int64), p).rank() == 2
 
-    def test_array_trial_division_matches_the_scalar_one(self):
-        # every n < 2^16, the ends of the range, and 46337^2 < 2^31, the
-        # square of the largest prime below sqrt(2^31); the uncached check,
+    def test_miller_rabin_matches_trial_division(self):
+        # every n < 2^16; the strong pseudoprimes 2047 (base 2), 1373653
+        # (bases 2 and 3) and 25326001 (bases 2, 3 and 5), which base 7
+        # refuses; Carmichael numbers; the ends of the range and 46337^2 < 2^31,
+        # the square of the largest prime below sqrt(2^31); the uncached check,
         # so the sweep leaves no entries in the cache
-        def scalar_accepts(p):
-            return 2 <= p < 1 << 31 and not any(p % q == 0 for q in range(2, isqrt(p) + 1))
-
         def accepts(p):
             try:
                 kalman._check_modulus.__wrapped__(p)
@@ -263,23 +276,22 @@ class TestModulus:
                 return False
             return True
 
-        for p in list(range(1 << 16)) + [(1 << 31) - 1, 1 << 31, 46337**2]:
-            assert accepts(p) == scalar_accepts(p), p
-        assert [accepts(p) for p in (0, 1, (1 << 31) - 1, 1 << 31, 46337**2)] == [
-            False,
-            False,
-            True,
-            False,
-            False,
-        ]
+        pseudoprimes = [2047, 1373653, 25326001]
+        carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+        ends = [0, 1, -7, (1 << 31) - 1, 1 << 31, (1 << 31) + 11, 46337**2]
+        for p in list(range(1 << 16)) + pseudoprimes + carmichael + ends:
+            assert accepts(p) == (p < 1 << 31 and is_prime_by_trial_division(p)), p
+        assert [accepts(p) for p in pseudoprimes + carmichael] == [False] * 13
+        assert [accepts(p) for p in ends] == [False, False, False, True, False, False, False]
 
 
 class TestKalmanPoint:
     def test_block_views(self):
         phi = np.arange(16, dtype=np.int64).reshape(4, 4)
         pt = KalmanPoint(d=2, n=4, phi=phi, p=P_DEFAULT)
-        assert pt.alpha.tolist() == [[0, 1], [4, 5]]
-        assert pt.gamma.tolist() == [[8, 9], [12, 13]]
+        assert pt.phi == as_rows(phi)
+        assert pt.alpha == ((0, 1), (4, 5))
+        assert pt.gamma == ((8, 9), (12, 13))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -290,10 +302,10 @@ class TestKalmanPoint:
     def test_reduced_matrix_shape_and_blocks(self):
         d, n = 2, 5
         pt = sample_generic(d, n, seed=123)
-        red = reduced_kalman_matrix(pt).data
-        assert red.shape == (d * (n - d), d)
-        assert red[: n - d].tolist() == pt.gamma.tolist()
-        assert red[n - d :].tolist() == _matmul_mod(pt.gamma, pt.alpha, pt.p).tolist()
+        red = reduced_kalman_matrix(pt)
+        assert red.shape == np.shape(red.data) == (d * (n - d), d)
+        assert red.data[: n - d] == pt.gamma
+        assert red.data[n - d :] == as_rows(_matmul_mod(pt.gamma, pt.alpha, pt.p))
 
     def test_reduced_matrix_powers(self):
         d, n = 3, 5
@@ -302,7 +314,7 @@ class TestKalmanPoint:
         block = pt.gamma
         for j in range(d):
             rows = red[j * (n - d) : (j + 1) * (n - d)]
-            assert rows.tolist() == block.tolist()
+            assert rows == as_rows(block)
             block = _matmul_mod(block, pt.alpha, pt.p)
 
 
@@ -339,37 +351,43 @@ class TestSampling:
     def test_member_determinism(self):
         a = sample_member(2, 3, 6, seed=5)
         b = sample_member(2, 3, 6, seed=5)
-        assert a.phi.tolist() == b.phi.tolist()
+        assert a.phi == b.phi
         c = sample_member(2, 3, 6, seed=6)
-        assert a.phi.tolist() != c.phi.tolist()
+        assert a.phi != c.phi
 
     def test_generic_determinism(self):
         a = sample_generic(3, 6, seed=5)
         b = sample_generic(3, 6, seed=5)
-        assert a.phi.tolist() == b.phi.tolist()
+        assert a.phi == b.phi
 
     def test_member_frozen_fingerprint(self):
         # determinism across releases, not just within a process; both sums
         # are those of sample_member_oracle at the same seeds
         pt = sample_member(1, 2, 4, seed=0)
-        assert int(pt.phi.astype(object).sum() % P_DEFAULT) == 1447017833
-        assert pt.phi.shape == (4, 4)
+        assert sum(map(sum, pt.phi)) % P_DEFAULT == 1447017833
+        assert np.shape(pt.phi) == (4, 4)
         assert pt.p == P_DEFAULT
         pt = sample_member(2, 4, 7, seed=0)
-        assert int(pt.phi.astype(object).sum() % P_DEFAULT) == 2130367173
+        assert sum(map(sum, pt.phi)) % P_DEFAULT == 2130367173
 
     @pytest.mark.parametrize("p", [2, 3, 5, P_DEFAULT])
     def test_batch_rows_equal_the_per_seed_oracle(self, p):
         seeds = list(range(-3, 37)) + [(1 << 64) + 5]
+        # and one seed's point, on Python ints, has the rows, the stack and
+        # the stack's rank of row t of the batch and of the oracle
         for s, d, n in [(1, 2, 4), (2, 3, 5), (2, 4, 7), (1, 1, 3)]:
-            member = sample_member(s, d, n, seeds, p)
-            generic = sample_generic(d, n, seeds, p)
-            assert member.phi.shape == generic.phi.shape == (len(seeds), n, n)
+            batches = [sample_member(s, d, n, seeds, p), sample_generic(d, n, seeds, p)]
+            assert [pts.phi.shape for pts in batches] == [(len(seeds), n, n)] * 2
+            stacks = [reduced_kalman_matrix(pts) for pts in batches]
+            ranks = [stack.rank() for stack in stacks]
             for t, seed in enumerate(seeds):
-                phi = sample_member_oracle(s, d, n, seed, p)
-                assert member.phi[t].tolist() == phi.tolist(), (s, d, n, seed)
-                assert sample_member(s, d, n, seed, p).phi.tolist() == phi.tolist()
-                assert generic.phi[t].tolist() == sample_generic_oracle(n, seed, p).tolist()
+                ones = [sample_member(s, d, n, seed, p), sample_generic(d, n, seed, p)]
+                oracles = [sample_member_oracle(s, d, n, seed, p), sample_generic_oracle(n, seed, p)]
+                for pts, stack, rank_t, one, phi in zip(batches, stacks, ranks, ones, oracles):
+                    assert as_rows(pts.phi[t]) == one.phi == as_rows(phi), (s, d, n, seed)
+                    one_stack = reduced_kalman_matrix(one)
+                    assert as_rows(stack.data[t]) == one_stack.data == as_rows(kalman_stack(phi, d, p))
+                    assert rank_t[t] == one_stack.rank() == kalman_stack_rank(phi, d, p)
 
     # phi keeps the plane U = [I_s; x; 0] inside L, with x and b = phi[:s, :s]
     # as drawn from the seed's stream, so the stack has rank <= d - s
@@ -395,8 +413,8 @@ class TestSampling:
         assert stacks.shape == (5, 12, 4)
         for t in range(5):
             one = sample_member(2, 4, 7, t)
-            assert pts.phi[t].tolist() == one.phi.tolist()
-            assert stacks[t].tolist() == reduced_kalman_matrix(one).data.tolist()
+            assert as_rows(pts.phi[t]) == one.phi
+            assert as_rows(stacks[t]) == reduced_kalman_matrix(one).data
 
     def test_s_equals_d_member_kills_gamma_blocks(self):
         # s = d means L itself is invariant; the whole stacked matrix vanishes
@@ -431,7 +449,7 @@ class TestJacobian:
             for d in range(2, n):
                 for s in range(1, d + 1):
                     for seed in range(3):
-                        phi = sample_member(s, d, n, seed, p).phi.tolist()
+                        phi = sample_member(s, d, n, seed, p).phi
                         expected = minors_jacobian_rank(phi, d, d - s + 1, p)
                         assert jacobian_codim(s, d, n, seed, p) == expected, (s, d, n, seed)
 
@@ -488,7 +506,7 @@ class TestNumericHilbertFunction:
         minors = stack_minors(s, d, n)
         rows = np.array([r for r, _, _ in minors])
         cols = np.array([c for _, c, _ in minors])
-        rng = SplitMix64(1000 + 100 * n + 10 * d + s)
+        rng = SplitMix64([1000 + 100 * n + 10 * d + s])  # one stream, drawn as arrays
 
         def dominant(w):
             return tuple(sorted(w[:d], reverse=True) + sorted(w[d:], reverse=True))
@@ -594,12 +612,12 @@ class TestNumericHilbertFunction:
         weights = minor_w[idx] + var_w[monos].sum(-2)
 
         def values(phi):
-            stack = reduced_kalman_matrix(KalmanPoint(d, n, phi, p)).data
+            stack = np.array(reduced_kalman_matrix(KalmanPoint(d, n, phi, p)).data)
             dets = np.array([laplace_det(stack[np.ix_(r, c)].tolist(), p) for r, c in zip(rows, cols)])
             flat = np.append(phi[:, :d].reshape(-1), 1)
             return dets[idx] * flat[monos[:, 0]] % p
 
-        phi = rng.matrix(n, n, p)
+        phi = np.array(rng.matrix(n, n, p))
         t = [1 + int(x) for x in rng.matrix(1, n, p - 1)[0]]
         conj = np.array([[int(phi[a, b]) * t[a] * pow(t[b], -1, p) % p for b in range(n)] for a in range(n)])
 
