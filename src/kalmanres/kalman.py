@@ -28,7 +28,8 @@ weight blocks, up to about a thousand rows, through the blocked _echelon
 modular matrix product).  Array products mod p run on float64 BLAS: the left
 operand is split into 16-bit limbs, so a GEMM over at most 64 terms sums
 integers below 2^47 and every partial sum stays below 2^53, where float64 is
-exact; every entry point checks that p is a prime below 2^31.
+exact; every entry point checks that p is a prime below 2^31, and reads p,
+sizes, seeds and entries with operator.index, so a float raises TypeError.
 The Jacobian of the k-minors is never formed: at a member the stack M has
 rank <= k-1; if rank M = k-1 its rank is that of the rows u_a (dM/dphi) v_b
 over kernel bases u_a M = 0 = M v_b, and if rank M < k-1 it is 0.
@@ -38,10 +39,10 @@ result is reproducible bit-for-bit from its seed, on either path.
 
 numpy is imported only inside the functions that build or take a stack, not
 at module level: the CLI and the package import this module, and a call
-that never makes a stack (the symbolic subcommands, and codim, which checks
-one point) would otherwise spend most of its start-up loading numpy.  The
-CLI pins OpenBLAS to one thread before numpy loads; this module sets no
-thread count, so a library caller keeps its own BLAS policy.
+that never makes a stack (the symbolic subcommands, codim, which checks one
+point, and hf until a degree has rows) would otherwise spend most of its
+start-up loading numpy.  The CLI pins OpenBLAS to one thread before numpy
+loads; this module sets no thread count, so a library caller keeps its own.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 _PRIME_BASES = (2, 3, 5, 7)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached np.int64(7) must not admit 7.0
 def _check_modulus(p: int) -> None:
     """Raise ValueError unless p is a prime with 2 <= p < 2^31: int64
     products of two residues and the float64 limb products of _matmul_mod
@@ -75,6 +76,7 @@ def _check_modulus(p: int) -> None:
     Primality is Miller-Rabin to _PRIME_BASES, exact in this range: with
     p - 1 = 2^r t, t odd, a prime p has a^t = 1 or a^(2^i t) = -1 mod p for
     some i < r, for every base a that p does not divide."""
+    p = index(p)
     if not (2 <= p < 1 << 31 and (p in _PRIME_BASES or all(_strong_probable_prime(p, a) for a in _PRIME_BASES))):
         raise ValueError(f"modulus must be a prime p with 2 <= p < 2^31, got {p}")
 
@@ -94,46 +96,41 @@ def _strong_probable_prime(p: int, a: int) -> bool:
     return False
 
 
-def _mix(z: int) -> int:
-    """SplitMix64's output function of a state in [0, 2^64)."""
+def _mix(z):
+    """SplitMix64's output function of a state in [0, 2^64), an int or a uint64 array (which wraps mod 2^64)."""
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
 
 
 class SplitMix64:
-    """SplitMix64 streams: one for an int seed, one per seed of a sequence.
+    """SplitMix64 streams: one for an int seed, one per seed of a flat
+    sequence, every seed read with operator.index (a float raises TypeError).
 
     The state steps by G = 0x9E3779B97F4A7C15 mod 2^64 and each output mixes
-    the new state (xor-shift-multiply 30/0xBF58476D1CE4E5B9,
-    27/0x94D049BB133111EB, 31), so output j >= 1 of seed sigma is
-    mix(sigma + j G mod 2^64): one expression gives every draw of every
-    stream.  One stream runs on Python ints and a sequence on numpy uint64,
-    with the same draws.  Field elements are outputs mod p; for p near 2^31
-    the bias is below 2^-32 per draw, far under the tests' Schwartz-Zippel
-    terms."""
+    the new state (_mix), so output j >= 1 of seed sigma is mix(sigma + j G
+    mod 2^64): one expression gives every draw of every stream.  One stream
+    runs on Python ints and a sequence on numpy uint64, through the one _mix
+    and state step.  Field elements are outputs mod p; for p near 2^31 the
+    bias is below 2^-32 per draw, far under the tests' Schwartz-Zippel terms."""
 
     def __init__(self, seed):
-        try:
-            self.shape, self.state = (), index(seed) & _MASK64
-        except TypeError:  # a sequence of seeds
+        if hasattr(seed, "__len__"):  # a sequence of seeds (an array has __index__ too)
+            seeds = [index(x) & _MASK64 for x in seed]
             import numpy as np
-            seeds = np.array(seed, dtype=object)
-            self.shape = seeds.shape
-            self.state = np.array([int(x) & _MASK64 for x in seeds.flat], dtype=np.uint64)
+            self.shape, self.state = (len(seeds),), np.array(seeds, dtype=np.uint64)
+        else:
+            self.shape, self.state = (), index(seed) & _MASK64
 
     def _next(self, count: int):
         """The next count outputs: a list for one stream, a uint64 array
-        (streams, count) for a sequence."""
+        (streams, count) for a sequence.  count G is reduced mod 2^64 before
+        the step, since a uint64 array refuses a larger int."""
+        start, self.state = self.state, (self.state + (count * _GAMMA & _MASK64)) & _MASK64
         if not self.shape:
-            start, self.state = self.state, (self.state + count * _GAMMA) & _MASK64
             return [_mix((start + j * _GAMMA) & _MASK64) for j in range(1, count + 1)]
         import numpy as np
-        z = self.state[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        self.state = self.state + np.uint64(count * _GAMMA & _MASK64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return _mix(start[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
 
     def matrix(self, rows: int, cols: int, p: int):
         """Each stream's next rows x cols draws mod p, row by row: a tuple of
@@ -347,13 +344,13 @@ def _minor_values(stacks: np.ndarray, table: list, p: int) -> np.ndarray:
 
 
 def _entries(data, p: int):
-    """One matrix (a sequence of int rows or a 2-D array) as a tuple of int
-    rows mod p, or a stack (an array of shape (..., r, c)) as an int64 array
-    mod p."""
+    """One matrix (a sequence of rows or a 2-D array) as a tuple of int rows
+    mod p, each entry read with operator.index, or a stack (an integer array
+    (..., r, c); a float dtype raises TypeError) as an int64 array mod p."""
     if getattr(data, "ndim", 2) != 2:
         import numpy as np
-        return np.asarray(data, dtype=np.int64) % p
-    rows = tuple(tuple(int(x) % p for x in row) for row in data)
+        return np.asarray(data).astype(np.int64, casting="same_kind", copy=False) % p
+    rows = tuple(tuple(index(x) % p for x in row) for row in data)
     if len({len(row) for row in rows}) > 1:
         raise ValueError("the rows of a matrix must have one length")
     return rows
@@ -404,7 +401,7 @@ class KalmanPoint(namedtuple("KalmanPoint", "d n phi p")):
 
     def __new__(cls, d: int, n: int, phi, p: int = P_DEFAULT):
         _check_modulus(p)
-        phi = _entries(phi, p)
+        d, n, phi = index(d), index(n), _entries(phi, p)
         if _shape(phi)[-2:] != (n, n):
             raise ValueError("phi must be n x n")
         if not 1 <= d < n:
@@ -440,6 +437,7 @@ def reduced_kalman_matrix(pt: KalmanPoint) -> FpMatrix:
 
 def minors_vanish(m: FpMatrix, k: int):
     """True iff every k x k minor is zero, decided as rank < k (per matrix of a stack)."""
+    k = index(k)
     if not 1 <= k <= min(m.shape[-2:]):
         raise ValueError("k out of range")
     return m.rank() < k
@@ -455,6 +453,7 @@ def sample_member(s: int, d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoi
     that misses O(1/p) of them.  An int seed gives one point on Python ints;
     a sequence of seeds gives a stack, each point as its seed gives it alone."""
     _check_modulus(p)
+    s, d, n = index(s), index(d), index(n)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     rng = SplitMix64(seed)
@@ -482,8 +481,8 @@ def sample_member(s: int, d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoi
 def sample_generic(d: int, n: int, seed, p: int = P_DEFAULT) -> KalmanPoint:
     """Uniform random endomorphism (no invariance constraint), one per seed."""
     _check_modulus(p)
-    rng = SplitMix64(seed)
-    return KalmanPoint(d, n, rng.matrix(n, n, p), p)
+    d, n = index(d), index(n)
+    return KalmanPoint(d, n, SplitMix64(seed).matrix(n, n, p), p)
 
 
 def jacobian_codim(s: int, d: int, n: int, seed: int, p: int = P_DEFAULT) -> int:
@@ -604,8 +603,8 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
     least minor degree there is no row and no table is built; else one
     table serves every degree and point set (_minor_values).
     """
-    import numpy as np
     _check_modulus(p)
+    s, d, n, k_max = index(s), index(d), index(n), index(k_max)
     if not 1 <= s <= d < n:
         raise ValueError("need 1 <= s <= d < n")
     if k_max < 0:
@@ -629,6 +628,7 @@ def numeric_hilbert_function(s: int, d: int, n: int, k_max: int, seed: int, p: i
         count = sum(m * comb(nd + k - e - 1, k - e) for e, m in minors.items() if e <= k)
         if (n + k) * count > HF_BUDGET:
             raise BudgetExceededError(f"degree-{k} row entries {count} x ({n} + {k})", (n + k) * count, HF_BUDGET)
+    import numpy as np  # only once a degree has rows
     table = _minor_table(height, d, size)
     minor_rows, minor_cols, _ = table[-1]
     degrees = (minor_rows // (n - d) + 1).sum(1)

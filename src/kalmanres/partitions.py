@@ -93,7 +93,7 @@ def schur_rank(lam: Partition, n: int) -> int:
     Partition first, and the rank is cached per (partition, n), since a
     Betti table asks for the same few ranks many times.
     """
-    return _schur_rank(Partition(lam), n)
+    return _schur_rank(Partition(lam), operator.index(n))  # before the cache: 3.0 must not key it
 
 
 @lru_cache(maxsize=None)

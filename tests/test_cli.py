@@ -497,9 +497,10 @@ print(json.dumps({
 
 def run_fresh(calls, blas_threads=None, block_numpy=False):
     """Run calls in a fresh interpreter whose OPENBLAS_NUM_THREADS is
-    blas_threads, or unset when it is None; returns (stdout, probe object).
-    With block_numpy, sys.modules["numpy"] is None, so importing numpy
-    raises ImportError and a call that tries exits nonzero."""
+    blas_threads, or unset when it is None; returns (stdout, probe object),
+    the probe's "stderr" being the calls' stderr lines before it.  With
+    block_numpy, sys.modules["numpy"] is None, so importing numpy raises
+    ImportError and a call that tries exits nonzero."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
@@ -512,12 +513,14 @@ def run_fresh(calls, blas_threads=None, block_numpy=False):
         timeout=300,
     )
     assert child.returncode == 0, child.stderr.decode()
-    return child.stdout, json.loads(child.stderr.decode().splitlines()[-1])
+    *stderr, probe = child.stderr.decode().splitlines()
+    return child.stdout, {**json.loads(probe), "stderr": stderr}
 
 
 class TestStartup:
     """Only the F_p subcommands on batches of points (kalman-test, hf) load
-    numpy, and only when they run; codim checks one point on Python ints.
+    numpy, and only when they run, hf only once a degree has rows; codim
+    checks one point on Python ints.
     The CLI loads numpy with one OpenBLAS thread unless the caller chose a
     count."""
 
@@ -587,6 +590,22 @@ class TestStartup:
         assert stdout == b"".join(
             (reference / f"codim_s_{s}_d_{d}_n_{n}.stdout").read_bytes() for s, d, n in contexts
         ) + (json.dumps(s_equals_d, indent=2) + "\n").encode()
+
+    def test_hf_without_rows_runs_with_numpy_unimportable(self):
+        # through degree 1 no 3-minor of (1, 3, 60) has a row, and both budget
+        # gates refuse before the minor table: none of them builds an array
+        calls = [
+            "hf --s 1 --d 3 --n 60 --kmax 1 --json",
+            "hf --s 1 --d 3 --n 60 --kmax 3",
+            "hf --s 1 --d 3 --n 70 --kmax 1",
+        ]
+        stdout, probe = run_fresh(calls, block_numpy=True)
+        assert [row[1] for row in probe["calls"][1:]] == [OK, REFUSED, REFUSED]
+        assert json.loads(stdout)["hilbert_function"] == [1, 3600]
+        assert probe["stderr"] == [
+            "refused: degree-3 row entries 29260 x (60 + 3) = 1843380 exceeds budget 1000000",
+            "refused: minor count of the 3-minor table of the 201 x 3 stack = 1353601 exceeds budget 1000000",
+        ]
 
     def test_fp_subcommand_loads_numpy_with_unchanged_output(self):
         stdout, probe = run_fresh(["kalman-test --s 1 --d 3 --n 5 --json"])

@@ -285,6 +285,25 @@ class TestModulus:
         assert [accepts(p) for p in ends] == [False, False, False, True, False, False, False]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SplitMix64(2.5),
+        lambda: SplitMix64([2.5]),  # int() truncated it to seed 2's stream
+        lambda: SplitMix64([[1, 2], [3, 4]]),  # a sequence of seeds is flat
+        lambda: sample_member(1, 2, 3, 2.5),  # it fell into the sequence branch
+        lambda: minors_vanish(FpMatrix([[1, 2]], 7), 1.0),
+        lambda: numeric_hilbert_function(1, 2, 4, 2.0, 0),
+        lambda: numeric_hilbert_function(1, 2, 4, 2, 2.5),  # its stream was seed 2's
+    ],
+    ids=["float-seed", "float-in-seeds", "nested-seeds", "member-float-seed", "float-k", "float-k-max", "hf-float-seed"],
+)
+def test_float_inputs_raise_type_error(call):
+    # every F_p input is read with operator.index where it enters
+    with pytest.raises(TypeError):
+        call()
+
+
 class TestKalmanPoint:
     def test_block_views(self):
         phi = np.arange(16, dtype=np.int64).reshape(4, 4)

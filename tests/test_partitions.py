@@ -128,6 +128,14 @@ class TestSchurRank:
         assert schur_rank(Partition((2, 1, 1)), 5) == 45
         assert schur_rank(Partition((1, 1, 1)), 6) == 20  # wedge^3
 
+    def test_a_float_rank_raises_and_leaves_the_cache_clean(self):
+        # n is read before the cache: 3.0 used to return 8.0 and leave it
+        # cached, so schur_rank((2, 1), 3) returned the float from then on
+        with pytest.raises(TypeError):
+            schur_rank((2, 1), 3.0)
+        rank = schur_rank((2, 1), 3)
+        assert rank == 8 and type(rank) is int
+
     def test_accepts_lists_and_tuples_around_its_cache(self):
         # the rank is cached per (Partition, n): every form of the same
         # parts, trailing zeros included, reaches the same entry

@@ -3,6 +3,7 @@ hashing and read-only fields."""
 
 import re
 
+import numpy as np
 import pytest
 
 from kalmanres.bott import CohomologyResult, GrassmannianContext
@@ -106,6 +107,10 @@ def test_record_contract(cls, fields, args, text, refusals):
         (HilbertSeries, ((1.5,), 4)),  # int() truncated it to (1,)
         (HilbertSeries, ((1, 2.0), 4)),
         (HilbertSeries, ((1,), 4.0)),
+        (FpMatrix, ([[1.5, 2]], 7)),  # int() truncated it to ((1, 2),)
+        (FpMatrix, (np.array([[[1.9, 2.2]]]), 7)),  # a float stack became [[[1, 2]]]
+        (KalmanPoint, (1.0, 2, [[1, 2], [3, 4]])),
+        (KalmanPoint, (1, 2, [[1, 2], [3, 4.5]])),
     ],
 )
 def test_integer_fields_refuse_other_numbers(cls, bad):
@@ -115,3 +120,16 @@ def test_integer_fields_refuse_other_numbers(cls, bad):
         cls(*bad)
     with pytest.raises(TypeError):
         cls._make(bad)
+
+
+@pytest.mark.parametrize("cached, bad", [(7, 7.0), (np.int64(13), 13.0)])
+def test_a_cached_modulus_admits_no_float(cached, bad):
+    # once a modulus has passed, an equal float still raises TypeError at the
+    # door instead of inside pow() at rank(); lru_cache keys a lone int by
+    # itself but a numpy int by the 1-tuple (13,), which (13.0,) equals, so
+    # the check's cache must be typed
+    FpMatrix([[1]], cached)
+    with pytest.raises(TypeError):
+        FpMatrix([[3, 1], [1, 0]], bad)
+    with pytest.raises(TypeError):
+        KalmanPoint(1, 2, [[1, 2], [3, 4]], bad)
